@@ -13,8 +13,8 @@ reached by relocating mass onto supersets.  Two predicates are exposed:
 * :func:`flow_entails`, the transport generalization.  Mass may split: a
   witness is any nonnegative transport w(A, B) supported on contained pairs
   A <= B whose row sums equal the specific masses and whose column sums
-  equal the general masses.  Decided exactly by max-flow feasibility on the
-  bipartite containment graph with capacities scaled to integers.
+  equal the general masses.  Decided exactly by an integer max-flow on the
+  bipartite containment graph, with the masses scaled to integers.
 
 Every partition witness is a flow witness, so partition entailment implies
 flow entailment; flow entailment is the weaker and more useful relation
@@ -27,12 +27,10 @@ consequence exhaustively.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import networkx as nx
-from networkx.algorithms.flow import edmonds_karp
 
 from .core import (
     MAX_TABLE_ATOMS,
@@ -48,9 +46,13 @@ from .errors import (
     FrameMismatch,
     FrameTooLarge,
     NotTypicalForm,
+    SearchBudgetExceeded,
     StrengthIncrease,
     SubnormalInput,
 )
+
+PARTITION_NODE_BUDGET = 1_000_000
+"""Most placements :func:`partition_entails` tries before it gives up."""
 
 
 @dataclass(frozen=True)
@@ -114,87 +116,111 @@ def partition_entails(m1: BeliefStructure,
 
     Searches for an assignment of each focal element of m1 to one focal
     element of m2 containing it, such that the masses assigned to each focal
-    B of m2 sum exactly to m2(B).  Exact backtracking; focal counts at desk
-    scale (<= 16 a side) are fine.
+    B of m2 sum exactly to m2(B).  Exact depth-first backtracking on an
+    explicit stack, after a flow check (no transport, no partition); more
+    than :data:`PARTITION_NODE_BUDGET` placements raise
+    :class:`SearchBudgetExceeded`.
     """
-    _check_pair(m1, m2)
-    specific = list(m1.items())
-    general = list(m2.items())
+    if flow_entails(m1, m2) is None:
+        return None
+    specific, general, scale, fits = _transport_problem(m1, m2)
     # Largest specific masses first: they are the hardest to place, so they
     # prune earliest.  Candidate order by bitmask keeps the result
-    # deterministic.
+    # deterministic.  Both sides sum to the scale, so placing every specific
+    # focal leaves every residual at 0.
     order = sorted(range(len(specific)),
                    key=lambda i: (-specific[i][1], specific[i][0].bits))
-    candidates: list[list[int]] = []
-    for i in order:
-        fits = [j for j, (b, _) in enumerate(general)
-                if specific[i][0].issubset(b)]
-        if not fits:
-            return None
-        candidates.append(fits)
-    residual = [w for _, w in general]
-    chosen: list[int] = []
-
-    def place(k: int) -> bool:
-        if k == len(order):
-            return all(r == 0 for r in residual)
-        mass = specific[order[k]][1]
-        for j in candidates[k]:
-            if residual[j] >= mass:
-                residual[j] -= mass
-                chosen.append(j)
-                if place(k + 1):
-                    return True
-                chosen.pop()
-                residual[j] += mass
-        return False
-
-    if not place(0):
-        return None
-    pairing = {order[k]: j for k, j in enumerate(chosen)}
-    triples = tuple((a, general[pairing[i]][0], w)
-                    for i, (a, w) in enumerate(specific))
-    return EntailmentWitness("partition", triples)
+    mass = [int(specific[i][1] * scale) for i in order]
+    residual = [int(w * scale) for _, w in general]
+    tries, chosen, nodes = [], [], 0  # per depth: candidates left, pick
+    while len(chosen) < len(order):
+        k = len(chosen)
+        if len(tries) == k:
+            tries.append(iter(fits[order[k]]))
+        j = next((j for j in tries[k] if residual[j] >= mass[k]), None)
+        if j is None:
+            tries.pop()
+            if not chosen:
+                return None
+            residual[chosen.pop()] += mass[k - 1]
+            continue
+        nodes += 1
+        if nodes > PARTITION_NODE_BUDGET:
+            raise SearchBudgetExceeded(f"partition search gave up after "
+                                       f"{PARTITION_NODE_BUDGET} placements")
+        residual[j] -= mass[k]
+        chosen.append(j)
+    pairing = dict(zip(order, chosen))
+    return EntailmentWitness("partition", tuple(
+        (a, general[pairing[i]][0], w) for i, (a, w) in enumerate(specific)))
 
 
-def _flow_graph(m1: BeliefStructure, m2: BeliefStructure,
-                scale: int) -> nx.DiGraph:
-    graph = nx.DiGraph()
-    for a, w in m1.items():
-        graph.add_edge("src", ("a", a.bits), capacity=int(w * scale))
-    for b, w in m2.items():
-        graph.add_edge(("b", b.bits), "snk", capacity=int(w * scale))
-    for a, _ in m1.items():
-        for b, _ in m2.items():
-            if a.issubset(b):
-                graph.add_edge(("a", a.bits), ("b", b.bits), capacity=scale)
-    return graph
+def _transport_problem(m1: BeliefStructure, m2: BeliefStructure):
+    """Both focal lists (bitmask order), their common denominator and, for
+    each specific focal, the indexes of the general focals containing it."""
+    _check_pair(m1, m2)
+    specific, general = list(m1.items()), list(m2.items())
+    scale = lcm(*(w.denominator for _, w in specific + general))
+    return specific, general, scale, [
+        [j for j, (b, _) in enumerate(general) if a.bits & b.bits == a.bits]
+        for a, _ in specific]
+
+
+def _max_flow(cap: dict[int, dict[int, int]], source: int, sink: int) -> None:
+    """Edmonds-Karp on the residual capacities ``cap[u][v]``, in place: the
+    flow on an edge ends as the capacity of its reverse.  Each augmenting
+    path is a shortest one, found breadth-first with neighbours in insertion
+    order and cut short at the first node found with room to the sink.
+    """
+    while True:
+        prev, queue = {source: source}, deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v, room in cap[u].items():
+                if room and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+                    if cap[v].get(sink):
+                        prev[sink] = v
+                        break
+        if sink not in prev:
+            return
+        path = [sink]
+        while path[-1] != source:
+            path.append(prev[path[-1]])
+        edges = list(zip(path[1:], path))
+        delta = min(cap[u][v] for u, v in edges)
+        for u, v in edges:
+            cap[u][v] -= delta
+            cap[v][u] = cap[v].get(u, 0) + delta
 
 
 def flow_entails(m1: BeliefStructure,
                  m2: BeliefStructure) -> EntailmentWitness | None:
     """Transport-form entailment of the general m2 by the specific m1.
 
-    Feasibility is decided by integer max-flow: all masses are scaled by the
-    least common denominator, every containment pair gets an edge, and a
-    witness exists iff the maximum flow saturates the whole unit of mass.
-    The returned transport is exact (integer flow divided by the scale).
+    Decided by an exact integer max-flow, Edmonds-Karp's shortest augmenting
+    paths (:func:`_max_flow`).  Rows are the focal elements of m1, columns
+    those of m2, both in bitmask order, and paths augment from the rows in
+    that order; supplies and demands are the masses scaled by their lcm; a
+    row feeds a column that contains its set.  A witness exists iff the flow
+    carries the whole unit of mass; its weights are exact (flow over the
+    scale) and its triples come sorted by specific, then general bitmask.
     """
-    _check_pair(m1, m2)
-    scale = lcm(*(w.denominator for _, w in m1.items()),
-                *(w.denominator for _, w in m2.items()))
-    graph = _flow_graph(m1, m2, scale)
-    value, flows = nx.maximum_flow(graph, "src", "snk", flow_func=edmonds_karp)
-    if value != scale:
+    specific, general, scale, adj = _transport_problem(m1, m2)
+    rows, source, sink = len(specific), -1, -2
+    cap = {source: {i: int(w * scale) for i, (_, w) in enumerate(specific)},
+           sink: {}}
+    cap.update((i, {rows + j: scale for j in adj[i]}) for i in range(rows))
+    cap.update((rows + j, {sink: int(w * scale)})
+               for j, (_, w) in enumerate(general))
+    _max_flow(cap, source, sink)
+    if sum(cap[sink].values()) != scale:
         return None
-    triples = []
-    for a, _ in m1.items():
-        row = flows.get(("a", a.bits), {})
-        for b, _ in m2.items():
-            sent = row.get(("b", b.bits), 0)
-            if sent:
-                triples.append((a, b, Fraction(sent, scale)))
-    return EntailmentWitness("flow", tuple(triples))
+    return EntailmentWitness("flow", tuple(
+        (a, general[j][0], Fraction(cap[rows + j][i], scale))
+        for i, (a, _) in enumerate(specific) for j in adj[i]
+        if cap[rows + j].get(i)))
 
 
 def interval_contained(

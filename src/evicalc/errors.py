@@ -57,6 +57,10 @@ class TotalConflict(EvicalcError):
         self.statement_index = statement_index
 
 
+class SearchBudgetExceeded(EvicalcError):
+    """An exact search hit its node budget before reaching an answer."""
+
+
 class GridOutOfRange(EvicalcError):
     """A sweep grid value fell outside [0, 1]."""
 

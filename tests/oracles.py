@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from evicalc import BeliefStructure, CombinationRule, Frame
@@ -78,13 +79,20 @@ def random_frame(rng: random.Random, min_atoms: int = 2,
 
 
 def random_structure(rng: random.Random, frame: Frame,
-                     max_focals: int = 4) -> BeliefStructure:
-    """A normal structure with random focal sets and integer-born masses."""
+                     max_focals: int = 4,
+                     total: int | None = None) -> BeliefStructure:
+    """A normal structure with random focal sets and integer-born masses;
+    with ``total`` the masses are integers over that denominator."""
     n = len(frame)
     count = rng.randint(1, min(max_focals, (1 << n) - 1))
+    if total is not None:
+        count = min(count, total)
     masks = rng.sample(range(1, 1 << n), count)
-    weights = [rng.randint(1, 9) for _ in masks]
-    total = sum(weights)
+    if total is None:
+        weights = [rng.randint(1, 9) for _ in masks]
+        total = sum(weights)
+    else:
+        weights = _split_weight(rng, total, count)
     return BeliefStructure(
         frame, [(frame.from_bits(bits), Fraction(w, total))
                 for bits, w in zip(masks, weights)])
@@ -211,3 +219,54 @@ def overlapping_pair(rng: random.Random, frame: Frame,
                     for bits, w in seen.items()])
 
     return build(), build()
+
+
+def oracle_flow_entails(m1: BeliefStructure, m2: BeliefStructure) -> bool:
+    """Flow entailment by Hall's condition, brute force over the subsets S
+    of m1's focal elements: the mass of S may not exceed the m2 mass on the
+    focal elements that contain some member of S.  Both sides carry one unit
+    of mass, so the condition is also sufficient."""
+    specific = [(f.bits, w) for f, w in m1.items()]
+    general = [(f.bits, w) for f, w in m2.items()]
+    for chosen in range(1, 1 << len(specific)):
+        members = [a for k, (a, _) in enumerate(specific) if chosen >> k & 1]
+        supply = sum(w for k, (_, w) in enumerate(specific) if chosen >> k & 1)
+        reach = sum(w for b, w in general
+                    if any(a & b == a for a in members))
+        if supply > reach:
+            return False
+    return True
+
+
+def oracle_partition(m1: BeliefStructure,
+                     m2: BeliefStructure) -> dict[int, int] | None:
+    """The grouping witness by exhaustion, as bits -> bits: the first
+    assignment, in lexicographic order, of m1's focal elements (largest mass
+    first, ties by bitmask) to containing m2 focal elements (in bitmask
+    order) whose group masses equal every m2 mass."""
+    specific = sorted(((f.bits, w) for f, w in m1.items()),
+                      key=lambda item: (-item[1], item[0]))
+    general = {f.bits: w for f, w in m2.items()}
+    choices = [[b for b in general if a & b == a] for a, _ in specific]
+    for pick in product(*choices):
+        load = dict.fromkeys(general, Fraction(0))
+        for (_, w), b in zip(specific, pick):
+            load[b] += w
+        if load == general:
+            return {a: b for (a, _), b in zip(specific, pick)}
+    return None
+
+
+def subset_sum_trap(frame: Frame) -> tuple[BeliefStructure, BeliefStructure]:
+    """A flow-entailing pair with no partition witness.  Ten focal elements
+    inside the first four atoms weigh 3/28 each but one 1/28; the general
+    side puts 1/2 on those four atoms and 1/2 on the frame, and no group of
+    the specific masses sums to 14/28."""
+    inner = (1 << 4) - 1
+    masks = list(range(1, inner + 1))[:10]
+    specific = BeliefStructure(frame, [
+        (frame.from_bits(bits), Fraction(1 if k == 9 else 3, 28))
+        for k, bits in enumerate(masks)])
+    general = BeliefStructure(frame, [(frame.from_bits(inner), Fraction(1, 2)),
+                                      (frame.full, Fraction(1, 2))])
+    return specific, general

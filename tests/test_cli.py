@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-
+import evicalc
+from evicalc import Frame, entailment, io
 from evicalc.cli import main
 
+from oracles import subset_sum_trap
+
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(evicalc.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -137,6 +145,18 @@ class TestEntails:
                          "--assert")
         assert code == 0
 
+    def test_partition_budget_is_one_error_line(self, capsys, tmp_path,
+                                                monkeypatch):
+        specific, general = subset_sum_trap(Frame("abcde"))
+        paths = tmp_path / "specific.bs", tmp_path / "general.bs"
+        for path, m in zip(paths, (specific, general)):
+            path.write_text(io.dumps_structure(m))
+        monkeypatch.setattr(entailment, "PARTITION_NODE_BUDGET", 20)
+        code, _, err = run(capsys, "entails", *paths, "--mode", "partition")
+        assert code == 2
+        assert err.startswith("error: SearchBudgetExceeded: ")
+        assert err.count("\n") == 1
+
     def test_interval_mode_reports_violator(self, capsys, tmp_path):
         out_path = tmp_path / "conflict.bs"
         run(capsys, "combine", DATA / "desk_a.bs",
@@ -227,3 +247,31 @@ class TestSweep:
                            "--betas", "1/2", "--rule", "dempster")
         assert code == 2
         assert "GridOutOfRange" in err
+
+
+class TestImports:
+    """The CLI runs on the standard library alone."""
+
+    @staticmethod
+    def python(code, *args):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([path] if path else [])))
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_cli_import_leaves_networkx_out(self):
+        done = self.python("import sys, evicalc.cli; "
+                           "print('networkx' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_flow_entails_with_networkx_blocked(self):
+        # a None entry makes any import of networkx fail, installed or not
+        done = self.python("import runpy, sys; sys.modules['networkx'] = None; "
+                           "runpy.run_module('evicalc', run_name='__main__')",
+                           "entails", DATA / "typical_b_99.bs",
+                           DATA / "typical_b_90.bs", "--mode", "flow")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "hedge_flow.txt").read_text()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evicalc import (
     DEMPSTER,
@@ -16,11 +18,13 @@ from evicalc import (
     validate_witness,
     weaken_to,
 )
+from evicalc import entailment
 from evicalc.errors import (
     EmptyTarget,
     FrameMismatch,
     FrameTooLarge,
     NotTypicalForm,
+    SearchBudgetExceeded,
     StrengthIncrease,
     SubnormalInput,
 )
@@ -28,9 +32,13 @@ from evicalc.errors import (
 from oracles import (
     coarsen,
     entailing_pair,
+    oracle_flow_entails,
+    oracle_partition,
+    overlapping_pair,
     partition_pair,
     random_frame,
     random_structure,
+    subset_sum_trap,
 )
 
 F = Fraction
@@ -92,6 +100,51 @@ class TestPartition:
             assert validate_witness(specific, general, witness)
             # a partition witness is in particular a flow witness
             assert flow_entails(specific, general) is not None
+
+
+class TestPartitionSearch:
+    PAIR_KINDS = ["partition", "coarsening", "random"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(PAIR_KINDS))
+    def test_witness_is_the_first_assignment_in_search_order(self, rng,
+                                                              kind):
+        frame = random_frame(rng, 2, 5)
+        if kind == "partition":
+            specific, general = partition_pair(rng, frame)
+        elif kind == "coarsening":
+            specific, general = entailing_pair(rng, frame)
+        else:
+            specific = random_structure(rng, frame, 5)
+            general = random_structure(rng, frame, 5)
+        witness = partition_entails(specific, general)
+        expected = oracle_partition(specific, general)
+        if expected is None:
+            assert witness is None
+        else:
+            assert {a.bits: b.bits for a, b in
+                    witness.assignment.items()} == expected
+
+    def test_thousands_of_focal_elements(self):
+        # one search step per focal element, far past the recursion limit
+        frame = Frame([f"x{i}" for i in range(11)])
+        masks = random.Random(97).sample(range(1, 1 << 11), 1200)
+        m = BeliefStructure(frame, [(frame.from_bits(bits), F(1, 1200))
+                                    for bits in masks])
+        witness = partition_entails(m, m)
+        assert witness is not None
+        assert all(a == b for a, b in witness.assignment.items())
+
+    def test_no_partition_although_flow(self, frame5):
+        specific, general = subset_sum_trap(frame5)
+        assert flow_entails(specific, general) is not None
+        assert partition_entails(specific, general) is None
+
+    def test_node_budget(self, frame5, monkeypatch):
+        specific, general = subset_sum_trap(frame5)
+        monkeypatch.setattr(entailment, "PARTITION_NODE_BUDGET", 20)
+        with pytest.raises(SearchBudgetExceeded):
+            partition_entails(specific, general)
 
 
 class TestFlow:
@@ -188,6 +241,49 @@ class TestFlow:
             witness = EntailmentWitness(
                 "flow", tuple((a, c, w) for (a, c), w in composed.items()))
             assert validate_witness(m1, m3, witness)
+
+
+class TestFlowOracle:
+    """The max-flow decision against Hall's condition by brute force."""
+
+    ENTAILING = ["coarsening", "overlapping", "large-capacity-coarsening"]
+    KINDS = ENTAILING + ["random", "reversed", "large-capacity"]
+
+    @staticmethod
+    def pair(rng, kind):
+        frame = random_frame(rng, 2, 6)
+        if kind == "coarsening":
+            return entailing_pair(rng, frame)
+        if kind == "overlapping":
+            # no conflict: the combination entails each input
+            first, second = overlapping_pair(rng, frame, 3)
+            return combine(first, second, DEMPSTER), first
+        if kind == "large-capacity-coarsening":
+            specific = random_structure(rng, frame, 3, total=997 * 1009)
+            return specific, coarsen(rng, specific)
+        if kind == "random":
+            return (random_structure(rng, frame, 10),
+                    random_structure(rng, frame, 10))
+        if kind == "reversed":
+            specific, general = entailing_pair(rng, frame)
+            return general, specific
+        return (random_structure(rng, frame, 10, total=997),
+                random_structure(rng, frame, 10, total=1009))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_verdict_and_witness(self, rng, kind):
+        specific, general = self.pair(rng, kind)
+        assert len(specific) <= 10 and len(general) <= 10
+        witness = flow_entails(specific, general)
+        verdict = oracle_flow_entails(specific, general)
+        assert (witness is not None) == verdict
+        if kind in self.ENTAILING:
+            assert verdict
+        if witness is not None:
+            assert validate_witness(specific, general, witness)
+            keys = [(a.bits, b.bits) for a, b, _ in witness.triples]
+            assert keys == sorted(keys)
 
 
 class TestIntervalContained:
