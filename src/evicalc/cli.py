@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on I/O or parse errors (bad files), 2 on domain
-errors (total conflict, or a false answer under --assert).  Output is
-deterministic byte-for-byte for identical inputs and flags.
+Exit codes: 0 on success, 1 on I/O or parse errors (bad files, or a reader
+that closes the output pipe early), 2 on domain errors (total conflict, or a
+false answer under --assert).  Output is deterministic byte-for-byte for
+identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -122,20 +124,20 @@ def _save(m: BeliefStructure, path: str) -> None:
 def _cmd_entails(args) -> int:
     m1 = _load_structure(args.path1)
     m2 = _load_structure(args.path2)
-    print(f"mode: {args.mode}")
+    # Decide first, so that a run ending in an error prints no partial answer
     if args.mode == "interval":
-        contained, violator = interval_contained(m1, m2)
-        print(f"contained: {'true' if contained else 'false'}")
+        verdict, violator = interval_contained(m1, m2)
+        answer = f"contained: {'true' if verdict else 'false'}\n"
         if violator is not None:
-            print(f"violating set: {violator.label()}")
-        verdict = contained
+            answer += f"violating set: {violator.label()}\n"
     else:
         check = flow_entails if args.mode == "flow" else partition_entails
         witness = check(m1, m2)
-        print(f"entails: {'true' if witness is not None else 'false'}")
-        if witness is not None:
-            sys.stdout.write(io.format_witness(witness))
         verdict = witness is not None
+        answer = f"entails: {'true' if verdict else 'false'}\n"
+        if verdict:
+            answer += io.format_witness(witness)
+    sys.stdout.write(f"mode: {args.mode}\n{answer}")
     if args.assert_ and not verdict:
         return 2
     return 0
@@ -273,7 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; the interpreter's own flush at exit must not
+        # raise again, so what is still buffered goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed before the answer was written",
+              file=sys.stderr)
+        return 1
     except _LoadFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,8 @@ equality, never a tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -37,13 +39,18 @@ def to_mass(value: MassLike) -> Fraction:
 
     Strings may be fractions ("3/5") or decimal literals ("0.99", parsed
     exactly to 99/100).  Floats go through their shortest decimal repr, so a
-    literal like 0.99 also becomes exactly 99/100.
+    literal like 0.99 also becomes exactly 99/100; NaN and the infinities
+    are rejected, and so is ``bool``, although it is an ``int``.
     """
     if isinstance(value, Fraction):
         mass = value
+    elif isinstance(value, bool):
+        raise TypeError(f"a bool ({value}) is not a mass")
     elif isinstance(value, int):
         mass = Fraction(value)
     elif isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"mass {value!r} is not a finite number")
         mass = Fraction(repr(value))
     elif isinstance(value, str):
         try:
@@ -218,6 +225,29 @@ class FocalSet:
         return f"FocalSet({self.label()})"
 
 
+def _zeta(table: list[int], n: int) -> None:
+    """Subset-sum (zeta) transform over n-bit masks, in place: afterwards
+    ``table[S]`` is the sum of the input over all subsets of S.
+
+    Bit by bit, every mask with the bit set adds in its partner without it.
+    The masks come in whole list slices, added with ``operator.add``: runs
+    of ``2**i`` consecutive masks for the high bits, strided slices for the
+    low ones, whichever needs fewer slices.
+    """
+    size = 1 << n
+    for i in range(n):
+        half = 1 << i
+        step = half << 1
+        if half * step <= size:  # few strided slices, one per offset
+            for j in range(half, step):
+                table[j::step] = map(add, table[j::step],
+                                     table[j - half::step])
+        else:  # few runs, one per block of 2 * half masks
+            for top in range(half, size, step):
+                table[top:top + half] = map(add, table[top:top + half],
+                                            table[top - half:top])
+
+
 class ProbabilityInterval:
     """The exact [belief, plausibility] bounds on the probability of a set."""
 
@@ -378,26 +408,23 @@ class BeliefStructure:
     def bel_table(self) -> list[Fraction]:
         """Belief for every subset, indexed by bitmask.
 
-        Computed with the subset-sum (zeta) transform over the lattice of
-        bitmasks in O(n * 2**n) additions; equals the per-subset bel() on
-        every index.
+        One integer subset-sum (zeta) transform, :func:`_zeta`, of the
+        non-empty masses scaled by their common denominator, in
+        O(n * 2**n) additions; each sum is then divided by that scale.
+        Equals the per-subset bel() on every index.
         """
         n = len(self.frame)
         if n > MAX_TABLE_ATOMS:
             raise FrameTooLarge(
                 f"bel_table needs at most {MAX_TABLE_ATOMS} atoms, got {n}")
-        table = [ZERO] * (1 << n)
+        scale = lcm(*(m.denominator for m in self._masses.values()))
+        table = [0] * (1 << n)
         for f, m in self._masses.items():
             if f.bits:
-                table[f.bits] = m
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(1 << n):
-                if mask & bit:
-                    low = table[mask ^ bit]
-                    if low:
-                        table[mask] += low
-        return table
+                table[f.bits] = m.numerator * (scale // m.denominator)
+        _zeta(table, n)
+        value = {x: Fraction(x, scale) for x in set(table)}
+        return [value[x] for x in table]
 
     def nonempty_total(self) -> Fraction:
         """Total mass on non-empty focal elements (1 unless subnormal)."""

@@ -39,6 +39,7 @@ from .core import (
     BeliefStructure,
     FocalSet,
     MassLike,
+    _zeta,
     to_mass,
 )
 from .errors import (
@@ -228,7 +229,13 @@ def interval_contained(
         m2: BeliefStructure) -> tuple[bool, FocalSet | None]:
     """Check [bel1, pl1] <= [bel2, pl2] containment on every subset.
 
-    Exhaustive over all 2**n subsets using belief tables.  Returns (True,
+    Exhaustive over all 2**n subsets in one pass: a single integer zeta
+    transform (:func:`core._zeta`) of the signed difference m1 - m2 of the
+    non-empty masses, both scaled by the lcm of their denominators, gives
+    d(S) = (bel1(S) - bel2(S)) * scale, and d(X) = (tot1 - tot2) * scale
+    for the non-empty totals.  Since pl(S) = tot - bel(X - S), also for
+    subnormal structures, S violates containment exactly when d(S) < 0
+    (bel2 above bel1) or d(X - S) < d(X) (pl1 above pl2).  Returns (True,
     None) on success, else (False, first violating subset in bitmask order).
     """
     _check_pair(m1, m2)
@@ -237,18 +244,22 @@ def interval_contained(
         raise FrameTooLarge(
             f"exhaustive interval check needs at most {MAX_TABLE_ATOMS} "
             f"atoms, got {n}")
-    bel1 = m1.bel_table()
-    bel2 = m2.bel_table()
-    tot1 = m1.nonempty_total()
-    tot2 = m2.nonempty_total()
-    full = (1 << n) - 1
-    for mask in range(1 << n):
-        if bel2[mask] > bel1[mask]:
-            return False, m1.frame.from_bits(mask)
-        # pl(S) = total non-empty mass - bel(complement of S)
-        if tot1 - bel1[full ^ mask] > tot2 - bel2[full ^ mask]:
-            return False, m1.frame.from_bits(mask)
-    return True, None
+    first, second = list(m1.items()), list(m2.items())
+    scale = lcm(*(w.denominator for _, w in first + second))
+    diff = [0] * (1 << n)
+    for focals, sign in ((first, 1), (second, -1)):
+        for f, w in focals:
+            if f.bits:
+                diff[f.bits] += sign * w.numerator * (scale // w.denominator)
+    _zeta(diff, n)
+    gap = diff[-1]
+    if min(diff) >= max(gap, 0):
+        return True, None
+    # diff[full ^ mask] is diff[full - mask], the reversed list at mask
+    mask = next(mask for mask, (low, high)
+                in enumerate(zip(diff, reversed(diff)))
+                if low < 0 or high < gap)
+    return False, m1.frame.from_bits(mask)
 
 
 def weaken_to(m: BeliefStructure, target: FocalSet) -> BeliefStructure:

@@ -63,7 +63,12 @@ class MonotonicityReport:
 def monotonic_step(m_star: BeliefStructure, m_next: BeliefStructure,
                    rule: CombinationRule) -> MonotonicityReport:
     """Combine one more structure and report whether monotonicity survived."""
-    conflict = conflict_mass(m_star, m_next)
+    return _step(m_star, m_next, rule, conflict_mass(m_star, m_next))
+
+
+def _step(m_star: BeliefStructure, m_next: BeliefStructure,
+          rule: CombinationRule, conflict: Fraction) -> MonotonicityReport:
+    """:func:`monotonic_step` with the pair's conflict K already known."""
     combined = combine(m_star, m_next, rule)
     entails_first = flow_entails(combined, m_star) is not None
     entails_second = flow_entails(combined, m_next) is not None
@@ -87,15 +92,17 @@ def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,
     """One report per rule over the same pair, in the given rule order.
 
     A rule that cannot run (Dempster at K = 1) contributes a report marked
-    infeasible instead of aborting the survey.
+    infeasible instead of aborting the survey.  The conflict K of the pair
+    is computed once and shared by every report.
     """
+    conflict = conflict_mass(m1, m2) if rules else None
     reports = []
     for rule in rules:
         try:
-            reports.append(monotonic_step(m1, m2, rule))
+            reports.append(_step(m1, m2, rule, conflict))
         except TotalConflict:
             reports.append(MonotonicityReport(
-                rule=rule, conflict=conflict_mass(m1, m2),
+                rule=rule, conflict=conflict,
                 entails_first=False, entails_second=False,
                 interval_ok_first=False, interval_ok_second=False,
                 witness_first=None, witness_second=None, combined=None,

@@ -27,6 +27,16 @@ def naive_pl(m: BeliefStructure, bits: int) -> Fraction:
     return sum((w for f, w in m.items() if f.bits & bits), Fraction(0))
 
 
+def oracle_interval_contained(m1: BeliefStructure, m2: BeliefStructure):
+    """Interval containment [bel1, pl1] <= [bel2, pl2] by direct enumeration
+    of all 2**n subsets, as (verdict, first violating subset or None)."""
+    for bits in range(1 << len(m1.frame)):
+        if naive_bel(m2, bits) > naive_bel(m1, bits) \
+                or naive_pl(m1, bits) > naive_pl(m2, bits):
+            return False, m1.frame.from_bits(bits)
+    return True, None
+
+
 def oracle_combine(m1: BeliefStructure, m2: BeliefStructure,
                    rule: CombinationRule) -> dict[int, Fraction]:
     """Literal cell-routing reimplementation; returns bits -> mass."""

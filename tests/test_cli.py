@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import evicalc
-from evicalc import Frame, entailment, io
+from evicalc import BeliefStructure, Frame, entailment, io
 from evicalc.cli import main
 
 from oracles import subset_sum_trap
@@ -13,6 +15,13 @@ from oracles import subset_sum_trap
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(evicalc.__file__).resolve().parents[1]
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([path] if path else [])))
 
 
 def run(capsys, *argv):
@@ -152,8 +161,9 @@ class TestEntails:
         for path, m in zip(paths, (specific, general)):
             path.write_text(io.dumps_structure(m))
         monkeypatch.setattr(entailment, "PARTITION_NODE_BUDGET", 20)
-        code, _, err = run(capsys, "entails", *paths, "--mode", "partition")
+        code, out, err = run(capsys, "entails", *paths, "--mode", "partition")
         assert code == 2
+        assert out == ""  # no partial answer before the error
         assert err.startswith("error: SearchBudgetExceeded: ")
         assert err.count("\n") == 1
 
@@ -254,12 +264,9 @@ class TestImports:
 
     @staticmethod
     def python(code, *args):
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + ([path] if path else [])))
         return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+                              env=child_env(), capture_output=True,
+                              text=True, timeout=120)
 
     def test_cli_import_leaves_networkx_out(self):
         done = self.python("import sys, evicalc.cli; "
@@ -275,3 +282,29 @@ class TestImports:
                            DATA / "typical_b_90.bs", "--mode", "flow")
         assert done.returncode == 0, done.stderr
         assert done.stdout == (GOLDEN / "hedge_flow.txt").read_text()
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_is_one_error_line(self, tmp_path):
+        # a witness of about 1.5 MB, far more than a pipe holds, so the
+        # child is still writing when the reader goes away
+        frame = Frame([f"atom_{i:02d}_" + "x" * 100 for i in range(20)])
+        masks = random.Random(5).sample(range(1, 1 << 20), 600)
+        big = tmp_path / "big.bs"
+        big.write_text(io.dumps_structure(BeliefStructure(
+            frame, [(frame.from_bits(b), Fraction(1, 600)) for b in masks])))
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # the usual block-buffered pipe
+        with subprocess.Popen([sys.executable, "-m", "evicalc", "entails",
+                               big, big, "--mode", "flow"], env=env,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=120)
+        assert first == b"mode: flow\n"
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

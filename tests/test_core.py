@@ -41,6 +41,18 @@ class TestMass:
         with pytest.raises(ValueError):
             to_mass("one half")
 
+    def test_bool_rejected_by_name(self):
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                to_mass(flag)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_float_rejected_by_name(self, value):
+        with pytest.raises(ValueError,
+                           match=f"mass {value!r} is not a finite number"):
+            to_mass(value)
+
     def test_rendering(self):
         assert mass_str(F(3, 10)) == "3/10"
         assert mass_str(F(1)) == "1"

@@ -27,12 +27,15 @@ from evicalc.errors import (
     SearchBudgetExceeded,
     StrengthIncrease,
     SubnormalInput,
+    TotalConflict,
 )
 
 from oracles import (
     coarsen,
     entailing_pair,
+    naive_bel,
     oracle_flow_entails,
+    oracle_interval_contained,
     oracle_partition,
     overlapping_pair,
     partition_pair,
@@ -317,6 +320,54 @@ class TestIntervalContained:
         vac = BeliefStructure.vacuous(frame)
         with pytest.raises(FrameTooLarge):
             interval_contained(vac, vac)
+
+
+class TestIntervalOracle:
+    """The signed integer transform against naive bel/pl enumeration."""
+
+    KINDS = ["entailing", "random", "dempster", "unnormalized",
+             "subnormal-first", "subnormal-second"]
+
+    @staticmethod
+    def subnormal(rng, frame):
+        m = random_structure(rng, frame, 5)
+        lost = F(rng.randint(1, 9), 10)
+        return BeliefStructure(
+            frame, [(frame.empty, lost)]
+            + [(f, w * (1 - lost)) for f, w in m.items()], subnormal=True)
+
+    def pair(self, rng, kind):
+        frame = random_frame(rng, 1, 8)
+        if kind == "entailing":
+            return entailing_pair(rng, frame)
+        m1 = random_structure(rng, frame, 6)
+        m2 = random_structure(rng, frame, 6)
+        if kind == "dempster":
+            try:
+                return combine(m1, m2, DEMPSTER), m1
+            except TotalConflict:
+                return m2, m1
+        if kind == "unnormalized":
+            return combine(m1, m2, UNNORMALIZED), m2
+        if kind == "subnormal-first":
+            return self.subnormal(rng, frame), m2
+        if kind == "subnormal-second":
+            return m1, self.subnormal(rng, frame)
+        return m1, m2
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_verdict_and_first_violator(self, rng, kind):
+        m1, m2 = self.pair(rng, kind)
+        result = interval_contained(m1, m2)
+        assert result == oracle_interval_contained(m1, m2)
+        if kind == "entailing":
+            assert result == (True, None)
+        for m in (m1, m2):
+            table = m.bel_table()
+            assert len(table) == 1 << len(m.frame)
+            for bits, value in enumerate(table):
+                assert value == naive_bel(m, bits)
 
 
 class TestWeaken:

@@ -30,6 +30,14 @@ class TestStructureDocuments:
             '            {"set": ["a", "b"], "mass": "1/6"}]}')
         assert m.mass(m.frame.subset(["b"])) == F(1, 2)
 
+    def test_json_true_nan_and_infinity_are_not_masses(self):
+        doc = '{"frame": ["a"], "masses": [{"set": ["a"], "mass": %s}]}'
+        with pytest.raises(TypeError, match="bool"):
+            io.loads_structure(doc % "true")
+        for literal, name in (("NaN", "nan"), ("Infinity", "inf")):
+            with pytest.raises(ValueError, match=f"mass {name} is not"):
+                io.loads_structure(doc % literal)
+
     def test_subnormal_flag_gates_the_empty_set(self):
         doc = ('{"frame": ["a"], "subnormal": %s,'
                ' "masses": [{"set": [], "mass": "1/2"},'
