@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import io
-from .combine import combine_all, conflict_mass, parse_rule
+from .combine import _combine_with_conflict, combine_all, parse_rule
 from .core import BeliefStructure, FocalSet
 from .entailment import flow_entails, interval_contained, partition_entails
 from .errors import EvicalcError
@@ -32,37 +32,22 @@ class _LoadFailure(Exception):
         super().__init__(f"{path}: {type(cause).__name__}: {cause}")
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """Read an input file and parse its text; a failure exits with status 1."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _LoadFailure(path, exc) from exc
-
-
-def _load_structure(path: str) -> BeliefStructure:
-    text = _read(path)
     try:
+        return parse(text)
+    except Exception as exc:
+        raise _LoadFailure(path, exc) from exc
+
+
+def _parse_any(text: str) -> BeliefStructure | KnowledgeBase:
+    if io.sniff_kind(text) == "structure":
         return io.loads_structure(text)
-    except Exception as exc:
-        raise _LoadFailure(path, exc) from exc
-
-
-def _load_kb(path: str) -> KnowledgeBase:
-    text = _read(path)
-    try:
-        return parse_kb(text)
-    except Exception as exc:
-        raise _LoadFailure(path, exc) from exc
-
-
-def _load_any(path: str) -> BeliefStructure | KnowledgeBase:
-    text = _read(path)
-    try:
-        if io.sniff_kind(text) == "structure":
-            return io.loads_structure(text)
-        return parse_kb(text)
-    except Exception as exc:
-        raise _LoadFailure(path, exc) from exc
+    return parse_kb(text)
 
 
 def _parse_set(value: str, frame) -> FocalSet:
@@ -70,45 +55,42 @@ def _parse_set(value: str, frame) -> FocalSet:
     return frame.subset(names)
 
 
-def _print_interval(m: BeliefStructure, target: FocalSet) -> None:
-    interval = m.interval(target)
-    print(f"set: {target.label()}")
-    print(f"bel = {io.format_mass(interval.lower)}")
-    print(f"pl = {io.format_mass(interval.upper)}")
-    if m.is_subnormal:
-        print("range = undefined (subnormal)")
-    else:
-        print(f"range = {io.format_mass(interval.width)}")
+def _interval_text(m: BeliefStructure, target: FocalSet) -> str:
+    lower, upper = m.interval(target)
+    width = ("undefined (subnormal)" if m.is_subnormal
+             else io.format_mass(upper - lower))
+    return (f"set: {target.label()}\nbel = {io.format_mass(lower)}\n"
+            f"pl = {io.format_mass(upper)}\nrange = {width}\n")
 
 
 def _cmd_validate(args) -> int:
-    m = _load_structure(args.path)
+    m = _load(args.path, io.loads_structure)
     sys.stdout.write(io.format_structure(m))
     return 0
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args, parse=_parse_any) -> int:
     rule = parse_rule(args.rule)
-    loaded = _load_any(args.path)
+    loaded = _load(args.path, parse)
+    # Compute first, so that a run ending in an error prints no partial answer
     if isinstance(loaded, KnowledgeBase):
         m = infer(loaded, rule)
-        print(f"variable: {loaded.variable}")
-        print(f"rule: {rule}")
+        head = f"variable: {loaded.variable}\nrule: {rule}\n"
     else:
-        m = loaded
-    _print_interval(m, _parse_set(args.set, m.frame))
+        m, head = loaded, ""
+    sys.stdout.write(head + _interval_text(m, _parse_set(args.set, m.frame)))
     return 0
 
 
 def _cmd_combine(args) -> int:
     rule = parse_rule(args.rule)
-    structures = [_load_structure(path) for path in args.paths]
-    result = combine_all(structures, rule)
-    print(f"rule: {rule}")
+    structures = [_load(path, io.loads_structure) for path in args.paths]
     if len(structures) == 2:
-        conflict = conflict_mass(structures[0], structures[1])
-        print(f"conflict: {io.format_mass(conflict)}")
-    sys.stdout.write(io.format_structure(result))
+        result, conflict = _combine_with_conflict(*structures, rule)
+        head = f"rule: {rule}\nconflict: {io.format_mass(conflict)}\n"
+    else:
+        result, head = combine_all(structures, rule), f"rule: {rule}\n"
+    sys.stdout.write(head + io.format_structure(result))
     if args.out:
         _save(result, args.out)
     return 0
@@ -122,8 +104,8 @@ def _save(m: BeliefStructure, path: str) -> None:
 
 
 def _cmd_entails(args) -> int:
-    m1 = _load_structure(args.path1)
-    m2 = _load_structure(args.path2)
+    m1 = _load(args.path1, io.loads_structure)
+    m2 = _load(args.path2, io.loads_structure)
     # Decide first, so that a run ending in an error prints no partial answer
     if args.mode == "interval":
         verdict, violator = interval_contained(m1, m2)
@@ -145,8 +127,8 @@ def _cmd_entails(args) -> int:
 
 def _cmd_monotone(args) -> int:
     rules = [parse_rule(name) for name in args.rules.split(",")]
-    m1 = _load_structure(args.path1)
-    m2 = _load_structure(args.path2)
+    m1 = _load(args.path1, io.loads_structure)
+    m2 = _load(args.path2, io.loads_structure)
     reports = pairwise_survey(m1, m2, rules)
     print(json.dumps([io.report_to_obj(r) for r in reports], indent=2))
     return 0
@@ -154,29 +136,22 @@ def _cmd_monotone(args) -> int:
 
 def _cmd_kb_infer(args) -> int:
     rule = parse_rule(args.rule)
-    kb = _load_kb(args.path)
-    print(f"variable: {kb.variable}")
-    print(f"rule: {rule}")
+    kb = _load(args.path, parse_kb)
+    head = f"variable: {kb.variable}\nrule: {rule}\n"
     if args.weaken_to is not None:
         target = _parse_set(args.weaken_to, kb.frame)
-        print(f"weaken to: {target.label()}")
+        head += f"weaken to: {target.label()}\n"
         result = typical_summary(kb, rule, target)
     else:
         result = infer(kb, rule)
-    sys.stdout.write(io.format_structure(result))
+    sys.stdout.write(head + io.format_structure(result))
     if args.out:
         _save(result, args.out)
     return 0
 
 
 def _cmd_kb_query(args) -> int:
-    rule = parse_rule(args.rule)
-    kb = _load_kb(args.path)
-    print(f"variable: {kb.variable}")
-    print(f"rule: {rule}")
-    m = infer(kb, rule)
-    _print_interval(m, _parse_set(args.set, kb.frame))
-    return 0
+    return _cmd_query(args, parse_kb)
 
 
 def _cmd_sweep(args) -> int:

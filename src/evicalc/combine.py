@@ -15,12 +15,18 @@ its weight:
 
 ``discount:<c>`` ignores the product table entirely and returns the pointwise
 mixture c*m1 + (1-c)*m2.
+
+Inside, a structure is in integer form (bitmask -> numerator over one common
+denominator).  One product pass yields the routed numerators and the
+conflict K together, reduced by their gcd; a fold stays in that form and
+builds one BeliefStructure, through its validating constructor, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import (
@@ -28,6 +34,7 @@ from .core import (
     ONE,
     BeliefStructure,
     FocalSet,
+    Frame,
     MassLike,
     to_mass,
 )
@@ -113,8 +120,8 @@ def product_cells(m1: BeliefStructure,
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
     """The conflict K: total product weight landing on empty intersections."""
     _check_pair(m1, m2)
-    return sum((c.weight for c in product_cells(m1, m2) if c.conflicting),
-               ZERO)
+    (n1, d1), (n2, d2) = _form(m1), _form(m2)
+    return Fraction(_product(n1, n2, None, 0)[1], d1 * d2)
 
 
 def possibility(b: FocalSet, a: FocalSet) -> Fraction:
@@ -127,25 +134,83 @@ def possibility(b: FocalSet, a: FocalSet) -> Fraction:
     return ONE if a.intersects(b) else ZERO
 
 
-def _route(cell: ProductCell, rule: CombinationRule,
-           full: FocalSet) -> FocalSet | None:
-    """Target set for a cell under a cell-routing rule; None means dropped."""
-    meet = cell.left & cell.right
-    if not meet.is_empty:
-        return meet
-    if rule.kind == "dempster":
-        return None
-    if rule.kind == "yager":
-        return full
-    if rule.kind == "dubois-prade":
-        return cell.left | cell.right
-    if rule.kind == "unnormalized":
-        return meet
-    if rule.kind == "priority-first":
-        return cell.left
-    if rule.kind == "priority-second":
-        return cell.right
-    raise ValueError(f"not a cell-routing rule: {rule}")
+# Where each rule sends a conflicting cell (a & b == 0); None drops it.
+_CONFLICT_TARGET = {
+    "dempster": None, "yager": lambda a, b, full: full,
+    "dubois-prade": lambda a, b, full: a | b,
+    "unnormalized": lambda a, b, full: 0,
+    "priority-first": lambda a, b, full: a,
+    "priority-second": lambda a, b, full: b}
+
+
+def _form(m: BeliefStructure) -> tuple[dict[int, int], int]:
+    """Integer form: bitmask -> numerator over one common denominator."""
+    den = lcm(*(w.denominator for _, w in m.bit_items()))
+    return {bits: w.numerator * (den // w.denominator)
+            for bits, w in m.bit_items()}, den
+
+
+def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
+    """One pass over the product table of two integer forms: the cell
+    weights (over d1 * d2) summed by target, and the conflict numerator K."""
+    out: dict[int, int] = {}
+    conflict = 0
+    for a, wa in n1.items():
+        for b, wb in n2.items():
+            w = wa * wb
+            target = a & b
+            if not target:
+                conflict += w
+                if route is None:
+                    continue
+                target = route(a, b, full)
+            out[target] = out.get(target, 0) + w
+    return out, conflict
+
+
+def _step(form1, form2, rule: CombinationRule, full: int):
+    """One combination of integer forms: the result's form, reduced by its
+    gcd, and the conflict numerator K over d1 * d2 (None under discount,
+    which builds no product table)."""
+    (n1, d1), (n2, d2) = form1, form2
+    if 0 in n1 or 0 in n2:
+        raise SubnormalInput("combination requires normal input structures")
+    if rule.kind == "discount":
+        p, q = rule.param.numerator, rule.param.denominator
+        out = {a: p * d2 * w for a, w in n1.items()}
+        for b, w in n2.items():
+            out[b] = out.get(b, 0) + (q - p) * d1 * w
+        den, conflict = q * d1 * d2, None
+    elif rule.kind in _CONFLICT_TARGET:
+        out, conflict = _product(n1, n2, _CONFLICT_TARGET[rule.kind], full)
+        # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
+        den = d1 * d2 - (conflict if rule.kind == "dempster" else 0)
+        if not den:
+            raise TotalConflict()
+    else:
+        raise ValueError(f"not a cell-routing rule: {rule}")
+    g = gcd(den, *out.values())
+    return ({f: w // g for f, w in out.items() if w}, den // g), conflict
+
+
+def _structure(frame: Frame, nums: dict[int, int], den: int,
+               rule: CombinationRule) -> BeliefStructure:
+    """An integer form made public, through the validating constructor."""
+    return BeliefStructure(frame, [(FocalSet(frame, f), Fraction(w, den))
+                                   for f, w in nums.items()],
+                           subnormal=rule.kind == "unnormalized")
+
+
+def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,
+                           rule: CombinationRule):
+    """:func:`combine` and the pair's conflict K, from the same product
+    pass; discount, which mixes instead, makes a pass for K alone."""
+    _check_pair(m1, m2)
+    (n1, d1), (n2, d2) = forms = _form(m1), _form(m2)
+    (nums, den), conflict = _step(*forms, rule, m1.frame.full.bits)
+    if conflict is None:
+        conflict = _product(n1, n2, None, 0)[1]
+    return _structure(m1.frame, nums, den, rule), Fraction(conflict, d1 * d2)
 
 
 def combine(m1: BeliefStructure, m2: BeliefStructure,
@@ -157,38 +222,7 @@ def combine(m1: BeliefStructure, m2: BeliefStructure,
     exactly when the conflict K is positive).  Dempster raises TotalConflict
     at K = 1, where its normalization divides by zero.
     """
-    _check_pair(m1, m2)
-    if m1.is_subnormal or m2.is_subnormal:
-        raise SubnormalInput("combination requires normal input structures")
-
-    if rule.kind == "discount":
-        c = rule.param
-        mixed: dict[FocalSet, Fraction] = {}
-        for f, m in m1.items():
-            mixed[f] = mixed.get(f, ZERO) + c * m
-        for f, m in m2.items():
-            mixed[f] = mixed.get(f, ZERO) + (1 - c) * m
-        return BeliefStructure(m1.frame, mixed)
-
-    full = m1.frame.full
-    routed: dict[FocalSet, Fraction] = {}
-    dropped = ZERO
-    for cell in product_cells(m1, m2):
-        target = _route(cell, rule, full)
-        if target is None:
-            dropped += cell.weight
-            continue
-        routed[target] = routed.get(target, ZERO) + cell.weight
-
-    if rule.kind == "dempster":
-        if dropped == 1:
-            raise TotalConflict()
-        if dropped:
-            scale = ONE / (ONE - dropped)
-            routed = {f: m * scale for f, m in routed.items()}
-        return BeliefStructure(m1.frame, routed)
-    return BeliefStructure(m1.frame, routed,
-                           subnormal=rule.kind == "unnormalized")
+    return combine_all((m1, m2), rule)
 
 
 def combine_all(structures: Sequence[BeliefStructure] |
@@ -198,11 +232,20 @@ def combine_all(structures: Sequence[BeliefStructure] |
 
     Dempster is associative and commutative, so its fold is order
     independent; for the other rules the input order is part of the answer.
+    The fold stays in integer form from the first structure to the last.
+    A TotalConflict carries in ``statement_index`` the position, from 1, of
+    the structure whose combination reached K = 1.
     """
     items = list(structures)
     if not items:
         raise ValueError("combine_all needs at least one structure")
-    result = items[0]
-    for nxt in items[1:]:
-        result = combine(result, nxt, rule)
-    return result
+    if len(items) == 1:
+        return items[0]
+    form, full = _form(items[0]), items[0].frame.full.bits
+    for index, nxt in enumerate(items[1:], start=2):
+        _check_pair(items[0], nxt)
+        try:
+            form, _ = _step(form, _form(nxt), rule, full)
+        except TotalConflict:
+            raise TotalConflict(statement_index=index) from None
+    return _structure(items[0].frame, *form, rule)

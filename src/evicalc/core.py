@@ -3,9 +3,9 @@
 A :class:`Frame` is an ordered finite universe of atoms.  A :class:`FocalSet`
 is a subset of one frame, stored as a bitmask over atom indices.  A
 :class:`BeliefStructure` maps focal sets to strictly positive rational masses
-summing to exactly 1.  All arithmetic uses :class:`fractions.Fraction`, so
-every belief/plausibility query is exact and every invariant is checked with
-equality, never a tolerance.
+summing to exactly 1.  Masses are :class:`fractions.Fraction` at the API and
+integer numerators over a common denominator inside combination and the bel
+table, so every query is exact and every invariant is checked with equality.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class Frame:
     bitmask, which makes serialization and display byte-stable.
     """
 
-    __slots__ = ("atoms", "_index")
+    __slots__ = ("atoms", "_index", "_hash")
 
     def __init__(self, atoms: Iterable[str]):
         names = tuple(atoms)
@@ -101,6 +101,7 @@ class Frame:
             index[name] = i
         object.__setattr__(self, "atoms", names)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash(names))
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Frame is immutable")
@@ -109,10 +110,11 @@ class Frame:
         return len(self.atoms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Frame) and self.atoms == other.atoms
+        return self is other or (isinstance(other, Frame)
+                                 and self.atoms == other.atoms)
 
     def __hash__(self) -> int:
-        return hash(self.atoms)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Frame({list(self.atoms)!r})"
@@ -321,9 +323,7 @@ class BeliefStructure:
         if total != 1:
             raise MassSumNotOne(f"masses sum to {total}, not 1")
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(
-            self, "_masses",
-            {FocalSet(frame, bits): merged[bits] for bits in sorted(merged)})
+        object.__setattr__(self, "_masses", dict(sorted(merged.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("BeliefStructure is immutable")
@@ -335,18 +335,24 @@ class BeliefStructure:
 
     @property
     def is_subnormal(self) -> bool:
-        return self.frame.empty in self._masses
+        return 0 in self._masses
 
     def mass(self, focal: FocalSet) -> Fraction:
         self._check(focal)
-        return self._masses.get(focal, ZERO)
+        return self._masses.get(focal.bits, ZERO)
 
     def items(self) -> Iterator[tuple[FocalSet, Fraction]]:
         """Focal elements with their masses, in bitmask order."""
-        return iter(tuple(self._masses.items()))
+        return ((FocalSet(self.frame, bits), m)
+                for bits, m in self._masses.items())
+
+    def bit_items(self) -> Iterator[tuple[int, Fraction]]:
+        """Focal bitmasks with their masses, in bitmask order: the stored
+        form, which builds no focal set."""
+        return iter(self._masses.items())
 
     def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(self._masses)
+        return tuple(FocalSet(self.frame, bits) for bits in self._masses)
 
     def __len__(self) -> int:
         return len(self._masses)
@@ -359,7 +365,7 @@ class BeliefStructure:
     __hash__ = None  # mutable-looking container API; not hashable
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f.label()}: {m}" for f, m in self._masses.items())
+        body = ", ".join(f"{f.label()}: {m}" for f, m in self.items())
         return f"BeliefStructure({{{body}}})"
 
     def _check(self, focal: FocalSet) -> None:
@@ -378,13 +384,13 @@ class BeliefStructure:
         self._check(focal)
         bits = focal.bits
         return sum((m for f, m in self._masses.items()
-                    if f.bits and f.bits & bits == f.bits), ZERO)
+                    if f and f & bits == f), ZERO)
 
     def pl(self, focal: FocalSet) -> Fraction:
         """Total mass of focal elements that intersect the set."""
         self._check(focal)
         bits = focal.bits
-        return sum((m for f, m in self._masses.items() if f.bits & bits), ZERO)
+        return sum((m for f, m in self._masses.items() if f & bits), ZERO)
 
     def interval(self, focal: FocalSet) -> ProbabilityInterval:
         """The exact probability bounds [bel, pl] for the set."""
@@ -403,7 +409,7 @@ class BeliefStructure:
 
     def is_bayesian(self) -> bool:
         """True iff every focal element is a singleton."""
-        return all(len(f) == 1 for f in self._masses)
+        return all(bits.bit_count() == 1 for bits in self._masses)
 
     def bel_table(self) -> list[Fraction]:
         """Belief for every subset, indexed by bitmask.
@@ -419,13 +425,13 @@ class BeliefStructure:
                 f"bel_table needs at most {MAX_TABLE_ATOMS} atoms, got {n}")
         scale = lcm(*(m.denominator for m in self._masses.values()))
         table = [0] * (1 << n)
-        for f, m in self._masses.items():
-            if f.bits:
-                table[f.bits] = m.numerator * (scale // m.denominator)
+        for bits, m in self._masses.items():
+            if bits:
+                table[bits] = m.numerator * (scale // m.denominator)
         _zeta(table, n)
         value = {x: Fraction(x, scale) for x in set(table)}
         return [value[x] for x in table]
 
     def nonempty_total(self) -> Fraction:
         """Total mass on non-empty focal elements (1 unless subnormal)."""
-        return ONE - self._masses.get(self.frame.empty, ZERO)
+        return ONE - self._masses.get(0, ZERO)

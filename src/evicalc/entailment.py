@@ -95,7 +95,6 @@ def validate_witness(specific: BeliefStructure, general: BeliefStructure,
     _check_pair(specific, general)
     rows: dict[FocalSet, Fraction] = {}
     cols: dict[FocalSet, Fraction] = {}
-    seen_rows: list[FocalSet] = []
     for a, b, w in witness.triples:
         if a.frame != specific.frame or b.frame != specific.frame:
             return False
@@ -103,12 +102,10 @@ def validate_witness(specific: BeliefStructure, general: BeliefStructure,
             return False
         rows[a] = rows.get(a, ZERO) + w
         cols[b] = cols.get(b, ZERO) + w
-        seen_rows.append(a)
     if rows != dict(specific.items()) or cols != dict(general.items()):
         return False
-    if witness.mode == "partition" and len(seen_rows) != len(set(seen_rows)):
-        return False
-    return True
+    # a partition witness names each specific focal once
+    return witness.mode != "partition" or len(rows) == len(witness.triples)
 
 
 def partition_entails(m1: BeliefStructure,
@@ -130,7 +127,7 @@ def partition_entails(m1: BeliefStructure,
     # deterministic.  Both sides sum to the scale, so placing every specific
     # focal leaves every residual at 0.
     order = sorted(range(len(specific)),
-                   key=lambda i: (-specific[i][1], specific[i][0].bits))
+                   key=lambda i: (-specific[i][1], specific[i][0]))
     mass = [int(specific[i][1] * scale) for i in order]
     residual = [int(w * scale) for _, w in general]
     tries, chosen, nodes = [], [], 0  # per depth: candidates left, pick
@@ -152,18 +149,20 @@ def partition_entails(m1: BeliefStructure,
         residual[j] -= mass[k]
         chosen.append(j)
     pairing = dict(zip(order, chosen))
+    focal = {b: m1.frame.from_bits(b) for b, _ in specific + general}
     return EntailmentWitness("partition", tuple(
-        (a, general[pairing[i]][0], w) for i, (a, w) in enumerate(specific)))
+        (focal[a], focal[general[pairing[i]][0]], w)
+        for i, (a, w) in enumerate(specific)))
 
 
 def _transport_problem(m1: BeliefStructure, m2: BeliefStructure):
-    """Both focal lists (bitmask order), their common denominator and, for
-    each specific focal, the indexes of the general focals containing it."""
+    """Both (bitmask, mass) lists, their common denominator and, for each
+    specific focal, the indexes of the general focals containing it."""
     _check_pair(m1, m2)
-    specific, general = list(m1.items()), list(m2.items())
+    specific, general = list(m1.bit_items()), list(m2.bit_items())
     scale = lcm(*(w.denominator for _, w in specific + general))
     return specific, general, scale, [
-        [j for j, (b, _) in enumerate(general) if a.bits & b.bits == a.bits]
+        [j for j, (b, _) in enumerate(general) if a & b == a]
         for a, _ in specific]
 
 
@@ -218,8 +217,9 @@ def flow_entails(m1: BeliefStructure,
     _max_flow(cap, source, sink)
     if sum(cap[sink].values()) != scale:
         return None
+    focal = {b: m1.frame.from_bits(b) for b, _ in specific + general}
     return EntailmentWitness("flow", tuple(
-        (a, general[j][0], Fraction(cap[rows + j][i], scale))
+        (focal[a], focal[general[j][0]], Fraction(cap[rows + j][i], scale))
         for i, (a, _) in enumerate(specific) for j in adj[i]
         if cap[rows + j].get(i)))
 
@@ -244,13 +244,13 @@ def interval_contained(
         raise FrameTooLarge(
             f"exhaustive interval check needs at most {MAX_TABLE_ATOMS} "
             f"atoms, got {n}")
-    first, second = list(m1.items()), list(m2.items())
+    first, second = list(m1.bit_items()), list(m2.bit_items())
     scale = lcm(*(w.denominator for _, w in first + second))
     diff = [0] * (1 << n)
     for focals, sign in ((first, 1), (second, -1)):
-        for f, w in focals:
-            if f.bits:
-                diff[f.bits] += sign * w.numerator * (scale // w.denominator)
+        for bits, w in focals:
+            if bits:
+                diff[bits] += sign * w.numerator * (scale // w.denominator)
     _zeta(diff, n)
     gap = diff[-1]
     if min(diff) >= max(gap, 0):

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import DEMPSTER, CombinationRule, combine
+from .combine import DEMPSTER, CombinationRule, combine_all
 from .core import BeliefStructure, FocalSet, Frame, ProbabilityInterval, ONE
 from .entailment import weaken_to
 from .errors import (
@@ -228,16 +228,14 @@ def infer(kb: KnowledgeBase,
     Total conflict (two contradictory absolute statements under Dempster,
     for instance) is reported with the statement that triggered it.
     """
-    result = compile_statement(kb.statements[0], kb.frame)
-    for index, stmt in enumerate(kb.statements[1:], start=2):
-        try:
-            result = combine(result, compile_statement(stmt, kb.frame), rule)
-        except TotalConflict:
-            raise TotalConflict(
-                f"total conflict (K = 1) while combining statement {index} "
-                f"into the running result",
-                statement_index=index) from None
-    return result
+    try:
+        return combine_all([compile_statement(stmt, kb.frame)
+                            for stmt in kb.statements], rule)
+    except TotalConflict as exc:
+        raise TotalConflict(
+            f"total conflict (K = 1) while combining statement "
+            f"{exc.statement_index} into the running result",
+            statement_index=exc.statement_index) from None
 
 
 def query(kb: KnowledgeBase, rule: CombinationRule,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import CombinationRule, combine, conflict_mass
+from .combine import CombinationRule, _combine_with_conflict
 from .core import (
     ONE,
     BeliefStructure,
@@ -63,28 +63,15 @@ class MonotonicityReport:
 def monotonic_step(m_star: BeliefStructure, m_next: BeliefStructure,
                    rule: CombinationRule) -> MonotonicityReport:
     """Combine one more structure and report whether monotonicity survived."""
-    return _step(m_star, m_next, rule, conflict_mass(m_star, m_next))
-
-
-def _step(m_star: BeliefStructure, m_next: BeliefStructure,
-          rule: CombinationRule, conflict: Fraction) -> MonotonicityReport:
-    """:func:`monotonic_step` with the pair's conflict K already known."""
-    combined = combine(m_star, m_next, rule)
-    entails_first = flow_entails(combined, m_star) is not None
-    entails_second = flow_entails(combined, m_next) is not None
-    if combined.is_subnormal:
-        return MonotonicityReport(
-            rule=rule, conflict=conflict, entails_first=entails_first,
-            entails_second=entails_second, interval_ok_first=False,
-            interval_ok_second=False, witness_first=None, witness_second=None,
-            combined=combined, interval_skipped=True)
-    ok_first, witness_first = interval_contained(combined, m_star)
-    ok_second, witness_second = interval_contained(combined, m_next)
-    return MonotonicityReport(
-        rule=rule, conflict=conflict, entails_first=entails_first,
-        entails_second=entails_second, interval_ok_first=ok_first,
-        interval_ok_second=ok_second, witness_first=witness_first,
-        witness_second=witness_second, combined=combined)
+    combined, conflict = _combine_with_conflict(m_star, m_next, rule)
+    inputs = (m_star, m_next)
+    entails = [flow_entails(combined, m) is not None for m in inputs]
+    skipped = combined.is_subnormal
+    (ok1, witness1), (ok2, witness2) = [
+        (False, None) if skipped else interval_contained(combined, m)
+        for m in inputs]
+    return MonotonicityReport(rule, conflict, *entails, ok1, ok2, witness1,
+                              witness2, combined, interval_skipped=skipped)
 
 
 def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,
@@ -92,20 +79,15 @@ def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,
     """One report per rule over the same pair, in the given rule order.
 
     A rule that cannot run (Dempster at K = 1) contributes a report marked
-    infeasible instead of aborting the survey.  The conflict K of the pair
-    is computed once and shared by every report.
+    infeasible instead of aborting the survey; its conflict K is 1.
     """
-    conflict = conflict_mass(m1, m2) if rules else None
     reports = []
     for rule in rules:
         try:
-            reports.append(_step(m1, m2, rule, conflict))
+            reports.append(monotonic_step(m1, m2, rule))
         except TotalConflict:
             reports.append(MonotonicityReport(
-                rule=rule, conflict=conflict,
-                entails_first=False, entails_second=False,
-                interval_ok_first=False, interval_ok_second=False,
-                witness_first=None, witness_second=None, combined=None,
+                rule, ONE, False, False, False, False, None, None, None,
                 infeasible=True))
     return reports
 
@@ -174,18 +156,14 @@ def sweep(alpha_grid: list[MassLike], beta_grid: list[MassLike],
     for alpha in alphas:
         for beta in betas:
             m1, m2, a_set, _ = canonical_pair(alpha, beta, disjoint)
-            conflict = conflict_mass(m1, m2)
             try:
-                combined = combine(m1, m2, rule)
+                combined, conflict = _combine_with_conflict(m1, m2, rule)
             except TotalConflict:
-                rows.append(SweepRow(alpha, beta, conflict, None, None, None,
+                rows.append(SweepRow(alpha, beta, ONE, None, None, None,
                                      infeasible=True))
                 continue
-            violation: bool | None
-            if combined.is_subnormal:
-                violation = None
-            else:
-                violation = not interval_contained(combined, m1)[0]
+            violation = (None if combined.is_subnormal
+                         else not interval_contained(combined, m1)[0])
             rows.append(SweepRow(alpha, beta, conflict,
                                  combined.bel(a_set), combined.pl(a_set),
                                  violation))

@@ -79,6 +79,32 @@ def oracle_combine(m1: BeliefStructure, m2: BeliefStructure,
     return out
 
 
+def oracle_conflict(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
+    """The conflict K: the product weight of every pair of focal elements
+    that do not intersect."""
+    return sum((wa * wb for a, wa in m1.items() for b, wb in m2.items()
+                if not a.bits & b.bits), Fraction(0))
+
+
+def oracle_fold(structures: list[BeliefStructure], rule: CombinationRule):
+    """Left fold of oracle_combine in list order, as ("ok", bits -> mass
+    without zero masses).  A step that cannot run ends the fold, at the
+    position i (from 1) of the structure it would take in: ("total
+    conflict", i) when Dempster meets K = 1, and ("subnormal", i) when the
+    running result already carries mass on the empty set."""
+    frame = structures[0].frame
+    out = structure_bits(structures[0])
+    for index, m in enumerate(structures[1:], start=2):
+        if out.get(0):
+            return "subnormal", index
+        running = BeliefStructure(frame, [(frame.from_bits(bits), w)
+                                          for bits, w in out.items()])
+        if rule.kind == "dempster" and oracle_conflict(running, m) == 1:
+            return "total conflict", index
+        out = oracle_combine(running, m, rule)
+    return "ok", {bits: w for bits, w in out.items() if w}
+
+
 def structure_bits(m: BeliefStructure) -> dict[int, Fraction]:
     return {f.bits: w for f, w in m.items()}
 

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import evicalc
 from evicalc import BeliefStructure, Frame, entailment, io
 from evicalc.cli import main
@@ -231,6 +233,23 @@ class TestKbCommands:
         assert code == 2
         assert "total conflict" in err
         assert "statement 2" in err
+
+
+class TestNoPartialAnswer:
+    """A set naming an unknown atom is found before anything is written."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("query", "--set"), ("kb-query", "--set"),
+        ("kb-infer", "--weaken-to")])
+    def test_unknown_atom_leaves_stdout_empty(self, command, flag):
+        done = subprocess.run(
+            [sys.executable, "-m", "evicalc", command,
+             DATA / "kb_equal_half.kb", flag, "zz"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: UnknownAtom: unknown atom 'zz'"]
 
 
 class TestSweep:

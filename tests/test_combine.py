@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evicalc import (
     CELL_ROUTING_RULES,
@@ -35,6 +36,8 @@ from conftest import structure_pairs
 from oracles import (
     bridge_triple,
     oracle_combine,
+    oracle_conflict,
+    oracle_fold,
     overlapping_pair,
     random_frame,
     random_structure,
@@ -355,3 +358,44 @@ class TestOracleEquivalence:
                     continue
                 expected = oracle_combine(m1, m2, rule)
                 assert bits_of(combine(m1, m2, rule)) == expected
+
+
+class TestIntegerPass:
+    """combine, combine_all and conflict_mass run on integer numerators over
+    a common denominator; the Fraction oracle is the judge."""
+
+    TOTALS = [None, 997, 1009, 997 * 1009]
+    RULES = [*CELL_ROUTING_RULES, discount(0), discount(F(2, 5)), discount(1)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(RULES))
+    def test_combine_and_conflict_match_the_oracle(self, rng, rule):
+        frame = random_frame(rng, 1, 6)
+        m1, m2 = (random_structure(rng, frame, 6, rng.choice(self.TOTALS))
+                  for _ in range(2))
+        conflict = oracle_conflict(m1, m2)
+        assert conflict_mass(m1, m2) == conflict
+        if rule is DEMPSTER and conflict == 1:
+            with pytest.raises(TotalConflict):
+                combine(m1, m2, rule)
+            return
+        expected = oracle_combine(m1, m2, rule)
+        assert bits_of(combine(m1, m2, rule)) == \
+            {bits: w for bits, w in expected.items() if w}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(RULES))
+    def test_combine_all_is_the_oracle_fold(self, rng, rule):
+        frame = random_frame(rng, 1, 5)
+        items = [random_structure(rng, frame, 4, rng.choice(self.TOTALS))
+                 for _ in range(rng.randint(1, 4))]
+        outcome, expected = oracle_fold(items, rule)
+        if outcome == "total conflict":
+            with pytest.raises(TotalConflict) as err:
+                combine_all(items, rule)
+            assert err.value.statement_index == expected
+        elif outcome == "subnormal":
+            with pytest.raises(SubnormalInput):
+                combine_all(items, rule)
+        else:
+            assert bits_of(combine_all(items, rule)) == expected

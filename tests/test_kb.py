@@ -3,9 +3,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evicalc import (
     DEMPSTER,
+    UNNORMALIZED,
     YAGER,
     Absolute,
     BeliefStructure,
@@ -24,12 +27,13 @@ from evicalc.errors import (
     MissingFrame,
     ParseError,
     StrengthOutOfRange,
+    SubnormalInput,
     TotalConflict,
     UnknownAtom,
     VariableMismatch,
 )
 
-from oracles import random_frame
+from oracles import oracle_fold, random_frame, structure_bits
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -300,3 +304,69 @@ class TestKbProperties:
             m = infer(kb)
             assert (alpha > beta) == (m.bel(a) > m.bel(b))
             assert (alpha == beta) == (m.bel(a) == m.bel(b))
+
+
+def random_statements(rng, frame, count, absolute_share):
+    n = len(frame)
+    statements = []
+    for _ in range(count):
+        focal = frame.from_bits(rng.randint(1, (1 << n) - 1))
+        if rng.random() < absolute_share:
+            statements.append(Absolute(focal))
+        else:
+            q = rng.choice([2, 100, 997, 1009])
+            statements.append(Typical(focal, F(rng.randint(1, q - 1), q)))
+    return statements
+
+
+def statement_structure(frame, stmt):
+    """The structure a statement stands for, built here apart from
+    compile_statement."""
+    if isinstance(stmt, Absolute):
+        return BeliefStructure(frame, {stmt.set: 1})
+    return BeliefStructure(frame, [(stmt.set, stmt.strength),
+                                   (frame.full, 1 - stmt.strength)])
+
+
+class TestInferOracle:
+    """infer runs one integer fold; an oracle_combine fold is the judge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from([DEMPSTER, YAGER, UNNORMALIZED]))
+    def test_infer_is_the_oracle_fold(self, rng, rule):
+        frame = random_frame(rng, 2, 5)
+        statements = random_statements(rng, frame, rng.randint(1, 6), 0.3)
+        kb = KnowledgeBase(frame, "V", tuple(statements))
+        outcome, expected = oracle_fold(
+            [statement_structure(frame, s) for s in statements], rule)
+        if outcome == "total conflict":
+            with pytest.raises(TotalConflict) as err:
+                infer(kb, rule)
+            assert err.value.statement_index == expected
+        elif outcome == "subnormal":
+            # the unnormalized step after K > 0 has a subnormal input
+            with pytest.raises(SubnormalInput):
+                infer(kb, rule)
+        else:
+            assert structure_bits(infer(kb, rule)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_total_conflict_names_its_statement(self, rng):
+        frame = random_frame(rng, 2, 5)
+        head = random_statements(rng, frame, rng.randint(0, 3), 0)
+        middle = random_statements(rng, frame, rng.randint(0, 3), 0)
+        a, b = frame.from_bits(1), frame.from_bits(2)
+        statements = [*head, Absolute(a), *middle, Absolute(b)]
+        kb = KnowledgeBase(frame, "V", tuple(statements))
+        index = len(statements)
+        assert oracle_fold([statement_structure(frame, s)
+                            for s in statements], DEMPSTER) == \
+            ("total conflict", index)
+        with pytest.raises(TotalConflict) as err:
+            infer(kb)
+        assert err.value.statement_index == index
+        assert str(err.value) == (f"total conflict (K = 1) while combining "
+                                  f"statement {index} into the running "
+                                  f"result")
