@@ -36,7 +36,7 @@ def _load(path: str, parse):
     """Read an input file and parse its text; a failure exits with status 1."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _LoadFailure(path, exc) from exc
     try:
         return parse(text)

@@ -313,14 +313,18 @@ class BeliefStructure:
                 raise FrameMismatch(
                     f"focal set {focal.label()} is bound to a different frame")
             mass = to_mass(raw)
-            if mass == 0:
+            if not mass:
                 continue
-            merged[focal.bits] = merged.get(focal.bits, ZERO) + mass
+            bits = focal.bits
+            merged[bits] = merged[bits] + mass if bits in merged else mass
         if 0 in merged and not subnormal:
             raise EmptyFocalInNormal(
                 "the empty set may carry mass only in a subnormal structure")
-        total = sum(merged.values(), ZERO)
-        if total != 1:
+        # the numerators over the common denominator must sum to it
+        scale = lcm(*(m.denominator for m in merged.values()))
+        if sum(m.numerator * (scale // m.denominator)
+               for m in merged.values()) != scale:
+            total = sum(merged.values(), ZERO)
             raise MassSumNotOne(f"masses sum to {total}, not 1")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_masses", dict(sorted(merged.items())))

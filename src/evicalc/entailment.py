@@ -128,8 +128,8 @@ def partition_entails(m1: BeliefStructure,
     # focal leaves every residual at 0.
     order = sorted(range(len(specific)),
                    key=lambda i: (-specific[i][1], specific[i][0]))
-    mass = [int(specific[i][1] * scale) for i in order]
-    residual = [int(w * scale) for _, w in general]
+    mass = [specific[i][1] for i in order]
+    residual = [w for _, w in general]
     tries, chosen, nodes = [], [], 0  # per depth: candidates left, pick
     while len(chosen) < len(order):
         k = len(chosen)
@@ -151,16 +151,19 @@ def partition_entails(m1: BeliefStructure,
     pairing = dict(zip(order, chosen))
     focal = {b: m1.frame.from_bits(b) for b, _ in specific + general}
     return EntailmentWitness("partition", tuple(
-        (focal[a], focal[general[pairing[i]][0]], w)
+        (focal[a], focal[general[pairing[i]][0]], Fraction(w, scale))
         for i, (a, w) in enumerate(specific)))
 
 
 def _transport_problem(m1: BeliefStructure, m2: BeliefStructure):
-    """Both (bitmask, mass) lists, their common denominator and, for each
-    specific focal, the indexes of the general focals containing it."""
+    """Both (bitmask, mass scaled to an integer) lists, the common
+    denominator they are scaled by and, for each specific focal, the
+    indexes of the general focals containing it."""
     _check_pair(m1, m2)
     specific, general = list(m1.bit_items()), list(m2.bit_items())
     scale = lcm(*(w.denominator for _, w in specific + general))
+    specific, general = ([(bits, w.numerator * (scale // w.denominator))
+                          for bits, w in side] for side in (specific, general))
     return specific, general, scale, [
         [j for j, (b, _) in enumerate(general) if a & b == a]
         for a, _ in specific]
@@ -206,14 +209,19 @@ def flow_entails(m1: BeliefStructure,
     row feeds a column that contains its set.  A witness exists iff the flow
     carries the whole unit of mass; its weights are exact (flow over the
     scale) and its triples come sorted by specific, then general bitmask.
+
+    A one-row Hall bound comes first: a row whose supply exceeds the total
+    demand of the columns containing it cannot be transported, so the
+    answer is None without a max-flow (and the same as the max-flow's).
     """
     specific, general, scale, adj = _transport_problem(m1, m2)
+    if any(w > sum(general[j][1] for j in adj[i])
+           for i, (_, w) in enumerate(specific)):
+        return None
     rows, source, sink = len(specific), -1, -2
-    cap = {source: {i: int(w * scale) for i, (_, w) in enumerate(specific)},
-           sink: {}}
+    cap = {source: {i: w for i, (_, w) in enumerate(specific)}, sink: {}}
     cap.update((i, {rows + j: scale for j in adj[i]}) for i in range(rows))
-    cap.update((rows + j, {sink: int(w * scale)})
-               for j, (_, w) in enumerate(general))
+    cap.update((rows + j, {sink: w}) for j, (_, w) in enumerate(general))
     _max_flow(cap, source, sink)
     if sum(cap[sink].values()) != scale:
         return None

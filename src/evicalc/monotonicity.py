@@ -10,10 +10,17 @@ before is still licensed after.  Two readings are reported side by side:
   is contained in the input's interval (checked exhaustively; undefined for
   subnormal results, which is recorded rather than guessed).
 
-When the two inputs have no conflicting focal elements (K = 0) both readings
-hold for both inputs under every cell-routing rule.  Conflict is what breaks
-monotonicity, and different normalization rules break it differently; the
-survey and sweep helpers map that behavior out.
+Conflict (K > 0) is what breaks monotonicity, and different normalization
+rules break it differently; the survey and sweep helpers map that behavior
+out.  A step settles each (combined, input) verdict by the first exact fact
+that applies, and runs a max-flow only when none does: (1) the product
+table's certificate: every cell moves m1(A) * m2(B) onto a subset of A and
+of B, so at K = 0 every cell-routing rule's result flow-entails both
+inputs, at K > 0 the unnormalized result still entails both, and a
+priority rule's result the operand it routes conflict to (a certified
+normal result keeps that input's intervals too); (2) an interval violation
+on a normal result, which proves that no flow exists; (3)
+:func:`flow_entails`, whose one-row Hall bound refutes before any max-flow.
 """
 
 from __future__ import annotations
@@ -60,18 +67,36 @@ class MonotonicityReport:
     infeasible: bool = False
 
 
+# Which inputs a rule's result is certain to flow-entail when K > 0
+_CERTIFIED = {"unnormalized": (True, True), "priority-first": (True, False),
+              "priority-second": (False, True)}
+
+
 def monotonic_step(m_star: BeliefStructure, m_next: BeliefStructure,
                    rule: CombinationRule) -> MonotonicityReport:
-    """Combine one more structure and report whether monotonicity survived."""
+    """Combine one more structure and report whether monotonicity survived.
+
+    Each verdict comes from the first fact that decides it (see the module
+    docstring): the product table's certificate, an interval violation on a
+    normal result, then :func:`flow_entails`.
+    """
     combined, conflict = _combine_with_conflict(m_star, m_next, rule)
-    inputs = (m_star, m_next)
-    entails = [flow_entails(combined, m) is not None for m in inputs]
     skipped = combined.is_subnormal
-    (ok1, witness1), (ok2, witness2) = [
-        (False, None) if skipped else interval_contained(combined, m)
-        for m in inputs]
-    return MonotonicityReport(rule, conflict, *entails, ok1, ok2, witness1,
-                              witness2, combined, interval_skipped=skipped)
+    certified = ((rule.kind != "discount",) * 2 if not conflict
+                 else _CERTIFIED.get(rule.kind, (False, False)))
+    verdicts = []
+    for m, sure in zip((m_star, m_next), certified):
+        if sure:
+            verdicts.append((True, not skipped, None))
+            continue
+        ok, witness = (False, None) if skipped \
+            else interval_contained(combined, m)
+        verdicts.append(((ok or skipped)
+                         and flow_entails(combined, m) is not None,
+                         ok, witness))
+    (e1, ok1, w1), (e2, ok2, w2) = verdicts
+    return MonotonicityReport(rule, conflict, e1, e2, ok1, ok2, w1, w2,
+                              combined, interval_skipped=skipped)
 
 
 def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,

@@ -12,7 +12,12 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from evicalc import BeliefStructure, CombinationRule, Frame
+from evicalc import (
+    BeliefStructure,
+    CombinationRule,
+    Frame,
+    MonotonicityReport,
+)
 
 ATOMS = "abcdefghij"
 
@@ -103,6 +108,30 @@ def oracle_fold(structures: list[BeliefStructure], rule: CombinationRule):
             return "total conflict", index
         out = oracle_combine(running, m, rule)
     return "ok", {bits: w for bits, w in out.items() if w}
+
+
+def oracle_monotonic_step(m1: BeliefStructure, m2: BeliefStructure,
+                          rule: CombinationRule) -> MonotonicityReport:
+    """The report of one step with both checks run on both inputs:
+    oracle_combine, then oracle_flow_entails and oracle_interval_contained
+    against each input.  Dempster at K = 1 gives the survey's infeasible
+    report."""
+    conflict = oracle_conflict(m1, m2)
+    if rule.kind == "dempster" and conflict == 1:
+        return MonotonicityReport(rule, conflict, False, False, False, False,
+                                  None, None, None, infeasible=True)
+    frame = m1.frame
+    combined = BeliefStructure(
+        frame, [(frame.from_bits(bits), w)
+                for bits, w in oracle_combine(m1, m2, rule).items()],
+        subnormal=True)
+    skipped = combined.is_subnormal
+    entails = [oracle_flow_entails(combined, m) for m in (m1, m2)]
+    (ok1, w1), (ok2, w2) = [
+        (False, None) if skipped else oracle_interval_contained(combined, m)
+        for m in (m1, m2)]
+    return MonotonicityReport(rule, conflict, *entails, ok1, ok2, w1, w2,
+                              combined, interval_skipped=skipped)
 
 
 def structure_bits(m: BeliefStructure) -> dict[int, Fraction]:
@@ -233,6 +262,28 @@ def no_conflict_pair(rng: random.Random, min_atoms: int = 2,
         if all(a.intersects(b)
                for a, _ in m1.items() for b, _ in m2.items()):
             return m1, m2
+
+
+def total_conflict_pair(rng: random.Random, frame: Frame,
+                        max_focals: int = 4) -> tuple[BeliefStructure,
+                                                      BeliefStructure]:
+    """A pair with K = 1: the atoms are split in two non-empty parts and
+    each structure keeps its focal elements inside its own part.  The frame
+    needs at least two atoms."""
+    n = len(frame)
+    left = rng.randrange(1, (1 << n) - 1)
+
+    def build(part: int) -> BeliefStructure:
+        seen: dict[int, int] = {}
+        for _ in range(rng.randint(1, max_focals)):
+            bits = part & rng.getrandbits(n) or part
+            seen[bits] = seen.get(bits, 0) + rng.randint(1, 9)
+        total = sum(seen.values())
+        return BeliefStructure(
+            frame, [(frame.from_bits(bits), Fraction(w, total))
+                    for bits, w in seen.items()])
+
+    return build(left), build(left ^ frame.full.bits)
 
 
 def overlapping_pair(rng: random.Random, frame: Frame,

@@ -53,6 +53,19 @@ class TestValidate:
         assert "MassSumNotOne" in err
 
 
+    def test_file_that_is_not_utf8_names_the_path(self, tmp_path):
+        bad = tmp_path / "bad.bs"
+        bad.write_bytes((DATA / "desk_a.bs").read_bytes() + b"\xff")
+        done = subprocess.run(
+            [sys.executable, "-m", "evicalc", "validate", bad],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(bad) in lines[0]
+
+
 class TestQuery:
     def test_structure_query(self, capsys):
         code, out, _ = run(capsys, "query", DATA / "desk_a.bs",

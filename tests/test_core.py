@@ -148,6 +148,32 @@ class TestConstruction:
         assert m.mass(a) == F(1, 2)
         assert len(m) == 2
 
+    def test_sum_is_checked_in_integers_and_reported_as_a_fraction(
+            self, frame4):
+        a, b = frame4.subset(["a"]), frame4.subset(["b"])
+        with pytest.raises(MassSumNotOne, match=r"^masses sum to 5/6, not 1$"):
+            BeliefStructure(frame4, [(a, F(1, 2)), (b, F(1, 3))])
+        with pytest.raises(MassSumNotOne, match=r"^masses sum to 7/6, not 1$"):
+            BeliefStructure(frame4, [(a, F(1, 2)), (a, F(1, 3)),
+                                     (frame4.full, F(1, 3))])
+        with pytest.raises(MassSumNotOne, match=r"^masses sum to 0, not 1$"):
+            BeliefStructure(frame4, [(a, 0)])
+        # denominators 997 and 1009 only meet at their product
+        m = BeliefStructure(frame4, [(a, F(1, 997)), (b, F(1, 1009)),
+                                     (a, F(1, 1009)),
+                                     (frame4.full, 1 - F(1, 997)
+                                      - F(2, 1009))])
+        assert m.mass(a) == F(1, 997) + F(1, 1009)
+
+    def test_merged_duplicates_and_dropped_zeros_keep_bitmask_order(
+            self, frame4):
+        a, b, c = (frame4.subset([x]) for x in "abc")
+        m = BeliefStructure(frame4, [(c, F(1, 6)), (a, 0), (b, F(1, 6)),
+                                     (c, F(1, 6)), (b, "1/6"), (c, 0),
+                                     (frame4.full, F(1, 3))])
+        assert list(m.bit_items()) == [(b.bits, F(1, 3)), (c.bits, F(1, 3)),
+                                       (frame4.full.bits, F(1, 3))]
+
     def test_structures_are_immutable(self, frame4):
         m = BeliefStructure.vacuous(frame4)
         with pytest.raises(AttributeError):

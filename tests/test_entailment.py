@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from evicalc import (
     DEMPSTER,
+    DUBOIS_PRADE,
     UNNORMALIZED,
+    YAGER,
     BeliefStructure,
     Frame,
     combine,
@@ -287,6 +290,75 @@ class TestFlowOracle:
             assert validate_witness(specific, general, witness)
             keys = [(a.bits, b.bits) for a, b, _ in witness.triples]
             assert keys == sorted(keys)
+
+
+def unreachable_row(specific, general) -> bool:
+    """Whether some focal element of ``specific`` outweighs all the focal
+    elements of ``general`` that contain it (a one-row Hall violation)."""
+    return any(w > sum((v for b, v in general.items() if a <= b), F(0))
+               for a, w in specific.items())
+
+
+def no_max_flow():
+    return mock.patch.object(entailment, "_max_flow",
+                             side_effect=AssertionError("max-flow ran"))
+
+
+class TestHallBound:
+    """flow_entails refutes a pair with an unreachable row before it runs
+    a max-flow; verdicts and witnesses stay the max-flow's."""
+
+    KINDS = ["yager", "dubois-prade", "random", "coarsening"]
+
+    @staticmethod
+    def pair(rng, kind):
+        frame = random_frame(rng, 2, 6)
+        if kind == "coarsening":
+            return entailing_pair(rng, frame)
+        if kind == "random":
+            return (random_structure(rng, frame, 8),
+                    random_structure(rng, frame, 8))
+        # conflict mass sent to X or to A | B, measured against an input
+        # that may lack that set
+        first, second = (random_structure(rng, frame, 4) for _ in range(2))
+        rule = YAGER if kind == "yager" else DUBOIS_PRADE
+        return combine(first, second, rule), rng.choice((first, second))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_verdict_witness_and_early_out(self, rng, kind):
+        specific, general = self.pair(rng, kind)
+        witness = flow_entails(specific, general)
+        assert (witness is None) == (not oracle_flow_entails(specific,
+                                                             general))
+        if witness is not None:
+            assert validate_witness(specific, general, witness)
+        full = specific.frame.full
+        if kind == "yager" and specific.mass(full) > general.mass(full):
+            assert unreachable_row(specific, general)
+        if unreachable_row(specific, general):
+            with no_max_flow():
+                assert flow_entails(specific, general) is None
+                assert partition_entails(specific, general) is None
+
+    def test_yager_result_against_an_input_without_the_full_set(self):
+        frame = Frame(["a", "b", "c"])
+        first = BeliefStructure(frame, [(frame.subset(["a"]), F(1, 2)),
+                                        (frame.subset(["b"]), F(1, 2))])
+        second = BeliefStructure(frame, [(frame.subset(["b"]), F(1))])
+        combined = combine(first, second, YAGER)
+        assert combined.mass(frame.full) == F(1, 2)
+        with no_max_flow():
+            assert flow_entails(combined, first) is None
+            assert partition_entails(combined, first) is None
+        # each row of `first` fits on {a, b} alone, both together do not:
+        # that takes the max-flow
+        general = BeliefStructure(frame, [(frame.subset(["a", "b"]), F(1, 2)),
+                                          (frame.subset(["c"]), F(1, 2))])
+        with no_max_flow(), pytest.raises(AssertionError,
+                                          match="max-flow ran"):
+            flow_entails(first, general)
+        assert flow_entails(first, general) is None
 
 
 class TestIntervalContained:

@@ -2,25 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evicalc import (
     CELL_ROUTING_RULES,
     DEMPSTER,
     DUBOIS_PRADE,
     PRIORITY_FIRST,
+    PRIORITY_SECOND,
     UNNORMALIZED,
     YAGER,
     BeliefStructure,
     canonical_pair,
     discount,
     monotonic_step,
+    monotonicity,
     pairwise_survey,
     sweep,
     sweep_csv,
 )
-from evicalc.errors import GridOutOfRange
+from evicalc.errors import GridOutOfRange, TotalConflict
 
-from oracles import overlapping_pair, random_frame
+from oracles import (
+    no_conflict_pair,
+    oracle_monotonic_step,
+    overlapping_pair,
+    random_frame,
+    random_structure,
+    total_conflict_pair,
+)
 
 F = Fraction
 
@@ -75,6 +86,60 @@ class TestMonotonicStep:
         m1, m2, _, _ = canonical_pair(F(7, 10), F(2, 5), disjoint=True)
         assert monotonic_step(m1, m2, DEMPSTER) == \
             monotonic_step(m1, m2, DEMPSTER)
+
+
+class TestStepOracle:
+    """A step settles a verdict by the product table's certificate, then by
+    an interval violation, then by flow; its report must equal the one
+    built by running every check through the oracles."""
+
+    RULES = [*CELL_ROUTING_RULES, discount(0), discount(F(1, 2)), discount(1)]
+    KINDS = ["no-conflict", "random", "total-conflict"]
+
+    @staticmethod
+    def pair(rng, kind):
+        if kind == "no-conflict":
+            return no_conflict_pair(rng, 1, 5, 3)
+        frame = random_frame(rng, 2, 5)
+        if kind == "total-conflict":
+            return total_conflict_pair(rng, frame, 3)
+        return random_structure(rng, frame, 3), random_structure(rng, frame, 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(RULES),
+           st.sampled_from(KINDS))
+    def test_step_equals_the_oracle(self, rng, rule, kind):
+        m1, m2 = self.pair(rng, kind)
+        expected = oracle_monotonic_step(m1, m2, rule)
+        assert (expected.conflict == 0) >= (kind == "no-conflict")
+        assert (expected.conflict == 1) >= (kind == "total-conflict")
+        if expected.infeasible:
+            with pytest.raises(TotalConflict):
+                monotonic_step(m1, m2, rule)
+        else:
+            assert monotonic_step(m1, m2, rule) == expected
+        assert pairwise_survey(m1, m2, [rule]) == [expected]
+
+    def test_certified_verdicts_run_no_check(self, monkeypatch):
+        checked = []
+
+        def record(combined, m):  # passes as a flow witness and an interval
+            checked.append(m)
+            return True, None
+
+        monkeypatch.setattr(monotonicity, "flow_entails", record)
+        monkeypatch.setattr(monotonicity, "interval_contained", record)
+        m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint=False)
+        for rule in CELL_ROUTING_RULES:  # K = 0
+            monotonic_step(m1, m2, rule)
+        assert checked == []
+        m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint=True)
+        for rule, inputs in ((UNNORMALIZED, []), (PRIORITY_FIRST, [m2]),
+                             (PRIORITY_SECOND, [m1]), (YAGER, [m1, m2])):
+            checked.clear()
+            monotonic_step(m1, m2, rule)
+            # interval first, then flow, on each uncertified normal input
+            assert checked == [m for m in inputs for _ in range(2)]
 
 
 class TestPairwiseSurvey:
