@@ -16,28 +16,19 @@ its weight:
 ``discount:<c>`` ignores the product table entirely and returns the pointwise
 mixture c*m1 + (1-c)*m2.
 
-Inside, a structure is in integer form (bitmask -> numerator over one common
-denominator).  One product pass yields the routed numerators and the
-conflict K together, reduced by their gcd; a fold stays in that form and
-builds one BeliefStructure, through its validating constructor, at the end.
+A structure stores its integer form (bitmask -> numerator over one common
+denominator).  One product pass over two stored forms yields the routed
+numerators and the conflict K together, and the result is built from them
+in integers, with no Fraction per focal element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .core import (
-    ZERO,
-    ONE,
-    BeliefStructure,
-    FocalSet,
-    Frame,
-    MassLike,
-    to_mass,
-)
+from .core import ZERO, ONE, BeliefStructure, FocalSet, MassLike, to_mass
 from .errors import (
     EmptyTarget,
     FrameMismatch,
@@ -120,8 +111,8 @@ def product_cells(m1: BeliefStructure,
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
     """The conflict K: total product weight landing on empty intersections."""
     _check_pair(m1, m2)
-    (n1, d1), (n2, d2) = _form(m1), _form(m2)
-    return Fraction(_product(n1, n2, None, 0)[1], d1 * d2)
+    return Fraction(_product(m1._nums, m2._nums, None, 0)[1],
+                    m1._den * m2._den)
 
 
 def possibility(b: FocalSet, a: FocalSet) -> Fraction:
@@ -143,13 +134,6 @@ _CONFLICT_TARGET = {
     "priority-second": lambda a, b, full: b}
 
 
-def _form(m: BeliefStructure) -> tuple[dict[int, int], int]:
-    """Integer form: bitmask -> numerator over one common denominator."""
-    den = lcm(*(w.denominator for _, w in m.bit_items()))
-    return {bits: w.numerator * (den // w.denominator)
-            for bits, w in m.bit_items()}, den
-
-
 def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
     """One pass over the product table of two integer forms: the cell
     weights (over d1 * d2) summed by target, and the conflict numerator K."""
@@ -168,11 +152,10 @@ def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
     return out, conflict
 
 
-def _step(form1, form2, rule: CombinationRule, full: int):
-    """One combination of integer forms: the result's form, reduced by its
-    gcd, and the conflict numerator K over d1 * d2 (None under discount,
-    which builds no product table)."""
-    (n1, d1), (n2, d2) = form1, form2
+def _step(m1: BeliefStructure, m2: BeliefStructure, rule: CombinationRule):
+    """One combination: the result and the conflict numerator K over
+    d1 * d2 (None under discount, which builds no product table)."""
+    n1, d1, n2, d2 = m1._nums, m1._den, m2._nums, m2._den
     if 0 in n1 or 0 in n2:
         raise SubnormalInput("combination requires normal input structures")
     if rule.kind == "discount":
@@ -180,25 +163,19 @@ def _step(form1, form2, rule: CombinationRule, full: int):
         out = {a: p * d2 * w for a, w in n1.items()}
         for b, w in n2.items():
             out[b] = out.get(b, 0) + (q - p) * d1 * w
+        out = {f: w for f, w in out.items() if w}  # c = 0 or 1 empties a side
         den, conflict = q * d1 * d2, None
     elif rule.kind in _CONFLICT_TARGET:
-        out, conflict = _product(n1, n2, _CONFLICT_TARGET[rule.kind], full)
+        out, conflict = _product(n1, n2, _CONFLICT_TARGET[rule.kind],
+                                 m1.frame.full.bits)
         # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
         den = d1 * d2 - (conflict if rule.kind == "dempster" else 0)
         if not den:
             raise TotalConflict()
     else:
         raise ValueError(f"not a cell-routing rule: {rule}")
-    g = gcd(den, *out.values())
-    return ({f: w // g for f, w in out.items() if w}, den // g), conflict
-
-
-def _structure(frame: Frame, nums: dict[int, int], den: int,
-               rule: CombinationRule) -> BeliefStructure:
-    """An integer form made public, through the validating constructor."""
-    return BeliefStructure(frame, [(FocalSet(frame, f), Fraction(w, den))
-                                   for f, w in nums.items()],
-                           subnormal=rule.kind == "unnormalized")
+    return BeliefStructure._from_form(
+        m1.frame, out, den, subnormal=rule.kind == "unnormalized"), conflict
 
 
 def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,
@@ -206,11 +183,9 @@ def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,
     """:func:`combine` and the pair's conflict K, from the same product
     pass; discount, which mixes instead, makes a pass for K alone."""
     _check_pair(m1, m2)
-    (n1, d1), (n2, d2) = forms = _form(m1), _form(m2)
-    (nums, den), conflict = _step(*forms, rule, m1.frame.full.bits)
-    if conflict is None:
-        conflict = _product(n1, n2, None, 0)[1]
-    return _structure(m1.frame, nums, den, rule), Fraction(conflict, d1 * d2)
+    result, conflict = _step(m1, m2, rule)
+    return result, (conflict_mass(m1, m2) if conflict is None
+                    else Fraction(conflict, m1._den * m2._den))
 
 
 def combine(m1: BeliefStructure, m2: BeliefStructure,
@@ -232,20 +207,18 @@ def combine_all(structures: Sequence[BeliefStructure] |
 
     Dempster is associative and commutative, so its fold is order
     independent; for the other rules the input order is part of the answer.
-    The fold stays in integer form from the first structure to the last.
+    Each step combines the stored integer forms.
     A TotalConflict carries in ``statement_index`` the position, from 1, of
     the structure whose combination reached K = 1.
     """
     items = list(structures)
     if not items:
         raise ValueError("combine_all needs at least one structure")
-    if len(items) == 1:
-        return items[0]
-    form, full = _form(items[0]), items[0].frame.full.bits
+    result = items[0]
     for index, nxt in enumerate(items[1:], start=2):
-        _check_pair(items[0], nxt)
+        _check_pair(result, nxt)
         try:
-            form, _ = _step(form, _form(nxt), rule, full)
+            result, _ = _step(result, nxt, rule)
         except TotalConflict:
             raise TotalConflict(statement_index=index) from None
-    return _structure(items[0].frame, *form, rule)
+    return result

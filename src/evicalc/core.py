@@ -3,15 +3,15 @@
 A :class:`Frame` is an ordered finite universe of atoms.  A :class:`FocalSet`
 is a subset of one frame, stored as a bitmask over atom indices.  A
 :class:`BeliefStructure` maps focal sets to strictly positive rational masses
-summing to exactly 1.  Masses are :class:`fractions.Fraction` at the API and
-integer numerators over a common denominator inside combination and the bel
-table, so every query is exact and every invariant is checked with equality.
+summing to exactly 1, stored as integer numerators by bitmask over one
+common denominator (built and rescaled only here) and read out as exact
+:class:`fractions.Fraction`; every invariant is checked with equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -288,15 +288,16 @@ class BeliefStructure:
     """A map from distinct focal sets to positive masses summing to 1.
 
     Duplicate sets in the input are merged by mass addition and zero-mass
-    entries are dropped, so combination rules can feed their raw output
-    straight into the constructor.  The empty set may carry mass only when
+    entries are dropped.  The empty set may carry mass only when
     ``subnormal=True`` (the unnormalized combination rule produces such
     structures); every other constructor path rejects it.
 
-    Instances are immutable; all queries are pure functions.
+    Masses are stored as ``_nums``, positive numerators by focal bitmask in
+    bitmask order, over ``_den``, the lcm of the reduced denominators: a
+    canonical form.  Instances are immutable; all queries are pure functions.
     """
 
-    __slots__ = ("frame", "_masses")
+    __slots__ = ("frame", "_nums", "_den")
 
     def __init__(self, frame: Frame,
                  assignments: Iterable[tuple[FocalSet, MassLike]] |
@@ -304,7 +305,7 @@ class BeliefStructure:
                  *, subnormal: bool = False):
         if isinstance(assignments, Mapping):
             assignments = assignments.items()
-        merged: dict[int, Fraction] = {}
+        masses: list[tuple[int, Fraction]] = []
         for focal, raw in assignments:
             if not isinstance(focal, FocalSet):
                 raise TypeError(
@@ -313,21 +314,41 @@ class BeliefStructure:
                 raise FrameMismatch(
                     f"focal set {focal.label()} is bound to a different frame")
             mass = to_mass(raw)
-            if not mass:
-                continue
-            bits = focal.bits
-            merged[bits] = merged[bits] + mass if bits in merged else mass
-        if 0 in merged and not subnormal:
+            if mass:
+                masses.append((focal.bits, mass))
+        den = lcm(*(m.denominator for _, m in masses))
+        nums: dict[int, int] = {}
+        for bits, m in masses:
+            nums[bits] = nums.get(bits, 0) + m.numerator * den // m.denominator
+        self._set(frame, nums, den, subnormal)
+
+    @classmethod
+    def _from_form(cls, frame: Frame, nums: dict[int, int], den: int, *,
+                   subnormal: bool = False) -> "BeliefStructure":
+        """A structure from bitmask -> numerator over den, such as a
+        combination result: the same checks, in integers, with no Fraction
+        or FocalSet per focal element."""
+        return cls.__new__(cls)._set(frame, nums, den, subnormal)
+
+    def _set(self, frame: Frame, nums: dict[int, int], den: int,
+             subnormal: bool) -> "BeliefStructure":
+        """Check an integer form, reduce it by its gcd and store it."""
+        if nums and (min(nums.values()) <= 0
+                     or not 0 <= min(nums) <= max(nums) < 1 << len(frame)):
+            raise ValueError("a numerator or bitmask is out of range")
+        if 0 in nums and not subnormal:
             raise EmptyFocalInNormal(
                 "the empty set may carry mass only in a subnormal structure")
-        # the numerators over the common denominator must sum to it
-        scale = lcm(*(m.denominator for m in merged.values()))
-        if sum(m.numerator * (scale // m.denominator)
-               for m in merged.values()) != scale:
-            total = sum(merged.values(), ZERO)
-            raise MassSumNotOne(f"masses sum to {total}, not 1")
+        total = sum(nums.values())
+        if total != den:
+            raise MassSumNotOne(f"masses sum to {Fraction(total, den)}, not 1")
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums, den = {bits: w // g for bits, w in nums.items()}, den // g
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_masses", dict(sorted(merged.items())))
+        object.__setattr__(self, "_nums", dict(sorted(nums.items())))
+        object.__setattr__(self, "_den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BeliefStructure is immutable")
@@ -339,32 +360,32 @@ class BeliefStructure:
 
     @property
     def is_subnormal(self) -> bool:
-        return 0 in self._masses
+        return 0 in self._nums
 
     def mass(self, focal: FocalSet) -> Fraction:
         self._check(focal)
-        return self._masses.get(focal.bits, ZERO)
+        return Fraction(self._nums.get(focal.bits, 0), self._den)
 
     def items(self) -> Iterator[tuple[FocalSet, Fraction]]:
         """Focal elements with their masses, in bitmask order."""
         return ((FocalSet(self.frame, bits), m)
-                for bits, m in self._masses.items())
+                for bits, m in self.bit_items())
 
     def bit_items(self) -> Iterator[tuple[int, Fraction]]:
-        """Focal bitmasks with their masses, in bitmask order: the stored
-        form, which builds no focal set."""
-        return iter(self._masses.items())
+        """Focal bitmasks with their masses, in bitmask order."""
+        den = self._den
+        return ((bits, Fraction(w, den)) for bits, w in self._nums.items())
 
     def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(FocalSet(self.frame, bits) for bits in self._masses)
+        return tuple(FocalSet(self.frame, bits) for bits in self._nums)
 
     def __len__(self) -> int:
-        return len(self._masses)
+        return len(self._nums)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BeliefStructure)
                 and self.frame == other.frame
-                and self._masses == other._masses)
+                and self._nums == other._nums)  # the numerators sum to _den
 
     __hash__ = None  # mutable-looking container API; not hashable
 
@@ -387,14 +408,15 @@ class BeliefStructure:
         """
         self._check(focal)
         bits = focal.bits
-        return sum((m for f, m in self._masses.items()
-                    if f and f & bits == f), ZERO)
+        return Fraction(sum(w for f, w in self._nums.items()
+                            if f and f & bits == f), self._den)
 
     def pl(self, focal: FocalSet) -> Fraction:
         """Total mass of focal elements that intersect the set."""
         self._check(focal)
         bits = focal.bits
-        return sum((m for f, m in self._masses.items() if f & bits), ZERO)
+        return Fraction(sum(w for f, w in self._nums.items() if f & bits),
+                        self._den)
 
     def interval(self, focal: FocalSet) -> ProbabilityInterval:
         """The exact probability bounds [bel, pl] for the set."""
@@ -413,29 +435,37 @@ class BeliefStructure:
 
     def is_bayesian(self) -> bool:
         """True iff every focal element is a singleton."""
-        return all(bits.bit_count() == 1 for bits in self._masses)
+        return all(bits.bit_count() == 1 for bits in self._nums)
 
     def bel_table(self) -> list[Fraction]:
         """Belief for every subset, indexed by bitmask.
 
         One integer subset-sum (zeta) transform, :func:`_zeta`, of the
-        non-empty masses scaled by their common denominator, in
-        O(n * 2**n) additions; each sum is then divided by that scale.
-        Equals the per-subset bel() on every index.
+        stored non-empty numerators, in O(n * 2**n) additions; each sum is
+        then divided by the denominator.  Equals the per-subset bel() on
+        every index.
         """
         n = len(self.frame)
         if n > MAX_TABLE_ATOMS:
             raise FrameTooLarge(
                 f"bel_table needs at most {MAX_TABLE_ATOMS} atoms, got {n}")
-        scale = lcm(*(m.denominator for m in self._masses.values()))
         table = [0] * (1 << n)
-        for bits, m in self._masses.items():
-            if bits:
-                table[bits] = m.numerator * (scale // m.denominator)
+        for bits, w in self._nums.items():
+            table[bits] = w
+        table[0] = 0  # empty-set mass is never belief
         _zeta(table, n)
-        value = {x: Fraction(x, scale) for x in set(table)}
+        value = {x: Fraction(x, self._den) for x in set(table)}
         return [value[x] for x in table]
 
     def nonempty_total(self) -> Fraction:
         """Total mass on non-empty focal elements (1 unless subnormal)."""
-        return ONE - self._masses.get(0, ZERO)
+        return Fraction(self._den - self._nums.get(0, 0), self._den)
+
+
+def _common_form(m1: BeliefStructure, m2: BeliefStructure):
+    """Both structures' (bitmask, numerator) lists, in bitmask order,
+    rescaled to one denominator, the lcm of theirs, and that denominator."""
+    den = lcm(m1._den, m2._den)
+    s1, s2 = den // m1._den, den // m2._den
+    return ([(bits, w * s1) for bits, w in m1._nums.items()],
+            [(bits, w * s2) for bits, w in m2._nums.items()], den)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .core import (
     MAX_TABLE_ATOMS,
@@ -39,6 +38,7 @@ from .core import (
     BeliefStructure,
     FocalSet,
     MassLike,
+    _common_form,
     _zeta,
     to_mass,
 )
@@ -156,14 +156,10 @@ def partition_entails(m1: BeliefStructure,
 
 
 def _transport_problem(m1: BeliefStructure, m2: BeliefStructure):
-    """Both (bitmask, mass scaled to an integer) lists, the common
-    denominator they are scaled by and, for each specific focal, the
-    indexes of the general focals containing it."""
+    """Both (bitmask, numerator) lists over one common denominator, that
+    denominator and, per specific focal, the general focals containing it."""
     _check_pair(m1, m2)
-    specific, general = list(m1.bit_items()), list(m2.bit_items())
-    scale = lcm(*(w.denominator for _, w in specific + general))
-    specific, general = ([(bits, w.numerator * (scale // w.denominator))
-                          for bits, w in side] for side in (specific, general))
+    specific, general, scale = _common_form(m1, m2)
     return specific, general, scale, [
         [j for j, (b, _) in enumerate(general) if a & b == a]
         for a, _ in specific]
@@ -252,13 +248,12 @@ def interval_contained(
         raise FrameTooLarge(
             f"exhaustive interval check needs at most {MAX_TABLE_ATOMS} "
             f"atoms, got {n}")
-    first, second = list(m1.bit_items()), list(m2.bit_items())
-    scale = lcm(*(w.denominator for _, w in first + second))
+    first, second, _ = _common_form(m1, m2)
     diff = [0] * (1 << n)
     for focals, sign in ((first, 1), (second, -1)):
         for bits, w in focals:
-            if bits:
-                diff[bits] += sign * w.numerator * (scale // w.denominator)
+            diff[bits] += sign * w
+    diff[0] = 0  # empty-set mass counts toward neither bel nor pl
     _zeta(diff, n)
     gap = diff[-1]
     if min(diff) >= max(gap, 0):

@@ -57,7 +57,9 @@ def structure_from_obj(obj: Any) -> BeliefStructure:
     if not isinstance(atoms, list):
         raise ValueError('"frame" must be a list of atom names')
     frame = Frame(atoms)
-    subnormal = bool(obj.get("subnormal", False))
+    subnormal = obj.get("subnormal", False)
+    if not isinstance(subnormal, bool):
+        raise ValueError('"subnormal" must be true or false')
     if not isinstance(masses, list):
         raise ValueError('"masses" must be a list of {"set", "mass"} entries')
     assignments = []

@@ -360,9 +360,26 @@ class TestOracleEquivalence:
                 assert bits_of(combine(m1, m2, rule)) == expected
 
 
+def assert_public_twin(rng, m):
+    """A result built from its integer form equals its twin from the public
+    constructor: from its own masses, and from each mass given as two
+    unreduced strings in shuffled order."""
+    split = []
+    for focal, w in m.items():
+        k, part = rng.randint(2, 5), rng.randint(0, w.numerator)
+        split += [(focal, f"{part * k}/{w.denominator * k}"),
+                  (focal, f"{(w.numerator - part) * k}/{w.denominator * k}")]
+    rng.shuffle(split)
+    for masses in (list(m.items()), split):
+        twin = BeliefStructure(m.frame, masses, subnormal=m.is_subnormal)
+        assert twin == m
+        assert list(twin.bit_items()) == list(m.bit_items())
+
+
 class TestIntegerPass:
     """combine, combine_all and conflict_mass run on integer numerators over
-    a common denominator; the Fraction oracle is the judge."""
+    a common denominator; the Fraction oracle is the judge, and every result
+    equals its twin from the public constructor."""
 
     TOTALS = [None, 997, 1009, 997 * 1009]
     RULES = [*CELL_ROUTING_RULES, discount(0), discount(F(2, 5)), discount(1)]
@@ -380,8 +397,10 @@ class TestIntegerPass:
                 combine(m1, m2, rule)
             return
         expected = oracle_combine(m1, m2, rule)
-        assert bits_of(combine(m1, m2, rule)) == \
+        result = combine(m1, m2, rule)
+        assert bits_of(result) == \
             {bits: w for bits, w in expected.items() if w}
+        assert_public_twin(rng, result)
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from(RULES))
@@ -398,4 +417,6 @@ class TestIntegerPass:
             with pytest.raises(SubnormalInput):
                 combine_all(items, rule)
         else:
-            assert bits_of(combine_all(items, rule)) == expected
+            result = combine_all(items, rule)
+            assert bits_of(result) == expected
+            assert_public_twin(rng, result)

@@ -147,6 +147,8 @@ class TestConstruction:
                                      (frame4.subset(["b"]), 0)])
         assert m.mass(a) == F(1, 2)
         assert len(m) == 2
+        assert m == BeliefStructure(frame4, [(a, "2/4"),
+                                             (frame4.full, "1/2")])
 
     def test_sum_is_checked_in_integers_and_reported_as_a_fraction(
             self, frame4):
@@ -173,6 +175,24 @@ class TestConstruction:
                                      (frame4.full, F(1, 3))])
         assert list(m.bit_items()) == [(b.bits, F(1, 3)), (c.bits, F(1, 3)),
                                        (frame4.full.bits, F(1, 3))]
+
+    def test_form_constructor_checks_in_integers(self, frame4):
+        a, full = frame4.subset(["a"]).bits, frame4.full.bits
+        make = BeliefStructure._from_form
+        with pytest.raises(MassSumNotOne, match=r"^masses sum to 2/3, not 1$"):
+            make(frame4, {a: 1, full: 1}, 3)
+        for nums in ({a: 0, full: 2}, {a: -1, full: 3}, {1 << 4: 2},
+                     {-1: 2}):
+            with pytest.raises(ValueError, match="out of range"):
+                make(frame4, nums, 2)
+        with pytest.raises(EmptyFocalInNormal):
+            make(frame4, {0: 1, full: 1}, 2)
+        assert make(frame4, {0: 1, full: 1}, 2, subnormal=True).is_subnormal
+        # an unreduced form is stored reduced, equal to the public twin
+        m = make(frame4, {full: 6, a: 6}, 12)
+        assert m == BeliefStructure(frame4, [(frame4.subset(["a"]), "1/2"),
+                                             (frame4.full, "1/2")])
+        assert list(m.bit_items()) == [(a, F(1, 2)), (full, F(1, 2))]
 
     def test_structures_are_immutable(self, frame4):
         m = BeliefStructure.vacuous(frame4)

@@ -44,6 +44,10 @@ class TestStructureDocuments:
                '            {"set": ["a"], "mass": "1/2"}]}')
         with pytest.raises(EmptyFocalInNormal):
             io.loads_structure(doc % "false")
+        # only a JSON boolean is a flag; a truthy string or number is not
+        for flag in ('"false"', "1"):
+            with pytest.raises(ValueError, match='"subnormal" must be'):
+                io.loads_structure(doc % flag)
         m = io.loads_structure(doc % "true")
         assert m.is_subnormal
 
