@@ -139,8 +139,9 @@ def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
     weights (over d1 * d2) summed by target, and the conflict numerator K."""
     out: dict[int, int] = {}
     conflict = 0
-    for a, wa in n1.items():
-        for b, wb in n2.items():
+    # n2 outside: a fold step's right operand is the small one
+    for b, wb in n2.items():
+        for a, wa in n1.items():
             w = wa * wb
             target = a & b
             if not target:

@@ -106,6 +106,9 @@ class Frame:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Frame is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return Frame, (self.atoms,)
+
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -164,6 +167,9 @@ class FocalSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("FocalSet is immutable")
+
+    def __reduce__(self):
+        return FocalSet, (self.frame, self.bits)
 
     def _check(self, other: "FocalSet") -> None:
         if not isinstance(other, FocalSet):
@@ -262,6 +268,9 @@ class ProbabilityInterval:
     def __setattr__(self, name, value):
         raise AttributeError("ProbabilityInterval is immutable")
 
+    def __reduce__(self):
+        return ProbabilityInterval, (self.lower, self.upper)
+
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
@@ -323,7 +332,7 @@ class BeliefStructure:
         self._set(frame, nums, den, subnormal)
 
     @classmethod
-    def _from_form(cls, frame: Frame, nums: dict[int, int], den: int, *,
+    def _from_form(cls, frame: Frame, nums: dict[int, int], den: int,
                    subnormal: bool = False) -> "BeliefStructure":
         """A structure from bitmask -> numerator over den, such as a
         combination result: the same checks, in integers, with no Fraction
@@ -352,6 +361,10 @@ class BeliefStructure:
 
     def __setattr__(self, name, value):
         raise AttributeError("BeliefStructure is immutable")
+
+    def __reduce__(self):  # rebuilt from the integer form, with its checks
+        return (BeliefStructure._from_form,
+                (self.frame, self._nums, self._den, self.is_subnormal))
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "BeliefStructure":

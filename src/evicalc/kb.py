@@ -18,6 +18,10 @@ order.  Under the default rule (Dempster) a typical statement that conflicts
 outright with an absolute one is completely discounted, and between two
 conflicting typical statements the one with the larger strength keeps the
 larger share of belief; strengths thereby act as priorities.
+
+A knowledge base is immutable, so it keeps each inference it has made, one
+per combination rule: :func:`infer`, :func:`query` and
+:func:`typical_summary` on one knowledge base and rule share a single fold.
 """
 
 from __future__ import annotations
@@ -72,7 +76,11 @@ Statement = Absolute | Typical
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """An ordered list of statements about one variable over one frame."""
+    """An ordered list of statements about one variable over one frame.
+
+    Each instance keeps its inferences by rule in ``_inferred``, which is
+    not a field: ``==``, ``hash`` and ``repr`` ignore it.
+    """
 
     frame: Frame
     variable: str
@@ -86,6 +94,7 @@ class KnowledgeBase:
                 raise FrameMismatch(
                     "statement sets must be bound to the knowledge base's "
                     "frame")
+        object.__setattr__(self, "_inferred", {})
 
 
 _NAME = r"[A-Za-z0-9_]+"
@@ -179,6 +188,10 @@ def parse_kb(text: str) -> KnowledgeBase:
                 raise ParseError(f"bad strength {token!r}: zero denominator",
                                  line=lineno,
                                  col=indent + stmt.start("rest")) from None
+            except ValueError:  # past the interpreter's integer digit limit
+                raise ParseError(f"bad strength: too many digits "
+                                 f"({len(token)} characters)", line=lineno,
+                                 col=indent + stmt.start("rest")) from None
             if not 0 < strength < 1:
                 hint = ("; write an absolute statement instead"
                         if strength == 1 else "")
@@ -225,22 +238,34 @@ def infer(kb: KnowledgeBase,
           rule: CombinationRule = DEMPSTER) -> BeliefStructure:
     """Combine the compiled statements in knowledge-base order.
 
-    Total conflict (two contradictory absolute statements under Dempster,
-    for instance) is reported with the statement that triggered it.
+    The fold runs once per (knowledge base, rule): its result is kept on
+    the knowledge base and returned by every later call, including those
+    made by :func:`query` and :func:`typical_summary`.  Errors are not
+    kept, so a failing fold raises again on every call.  Total conflict
+    (two contradictory absolute statements under Dempster, for instance)
+    is reported with the statement that triggered it.
     """
-    try:
-        return combine_all([compile_statement(stmt, kb.frame)
-                            for stmt in kb.statements], rule)
-    except TotalConflict as exc:
-        raise TotalConflict(
-            f"total conflict (K = 1) while combining statement "
-            f"{exc.statement_index} into the running result",
-            statement_index=exc.statement_index) from None
+    inferred = kb._inferred.get(rule)
+    if inferred is None:
+        try:
+            inferred = combine_all([compile_statement(stmt, kb.frame)
+                                    for stmt in kb.statements], rule)
+        except TotalConflict as exc:
+            raise TotalConflict(
+                f"total conflict (K = 1) while combining statement "
+                f"{exc.statement_index} into the running result",
+                statement_index=exc.statement_index) from None
+        kb._inferred[rule] = inferred
+    return inferred
 
 
 def query(kb: KnowledgeBase, rule: CombinationRule,
           target: FocalSet) -> ProbabilityInterval:
-    """The probability interval the knowledge base assigns to a set."""
+    """The probability interval the knowledge base assigns to a set.
+
+    Reads the inference :func:`infer` keeps, so it folds only if no call
+    has yet folded this knowledge base under this rule.
+    """
     return infer(kb, rule).interval(target)
 
 
@@ -250,5 +275,6 @@ def typical_summary(kb: KnowledgeBase, rule: CombinationRule,
 
     Returns the two-focal structure whose strength on the target is the
     inferred belief in it; the full inference always flow-entails it.
+    Like :func:`query`, it shares the fold :func:`infer` keeps.
     """
     return weaken_to(infer(kb, rule), target)

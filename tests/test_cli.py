@@ -239,6 +239,17 @@ class TestKbCommands:
         assert "UnknownAtom" in err
         assert "line 2" in err
 
+    def test_over_long_strength_is_one_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "long.kb"
+        path.write_text("frame: a, b\ntypically V is {a} strength "
+                        + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "kb-infer", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "ParseError: line 2, col 19: bad strength: too many digits" \
+            in err
+
     def test_kb_total_conflict_exits_2(self, capsys, tmp_path):
         path = tmp_path / "clash.kb"
         path.write_text("frame: a, b\nV is {a}\nV is {b}\n")

@@ -420,3 +420,34 @@ class TestIntegerPass:
             result = combine_all(items, rule)
             assert bits_of(result) == expected
             assert_public_twin(rng, result)
+
+
+def sized_structure(rng, frame, count):
+    """A normal structure with exactly ``count`` random focal sets."""
+    masks = rng.sample(range(1, 1 << len(frame)), count)
+    weights = [rng.randint(1, 9) for _ in masks]
+    return BeliefStructure(frame, [(frame.from_bits(bits), F(w, sum(weights)))
+                                   for bits, w in zip(masks, weights)])
+
+
+class TestUnequalOperands:
+    """The product pass runs its outer loop over the right operand.  Pairs
+    of 1 and 20 focal elements, in both orders, still give the oracle's
+    result and K under every rule, the asymmetric routes included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(CELL_ROUTING_RULES), st.booleans())
+    def test_one_against_twenty(self, rng, rule, small_first):
+        frame = random_frame(rng, 5, 7)
+        small, large = (sized_structure(rng, frame, k) for k in (1, 20))
+        m1, m2 = (small, large) if small_first else (large, small)
+        conflict = oracle_conflict(m1, m2)
+        assert conflict_mass(m1, m2) == conflict
+        if rule is DEMPSTER and conflict == 1:
+            with pytest.raises(TotalConflict):
+                combine(m1, m2, rule)
+            return
+        expected = oracle_combine(m1, m2, rule)
+        assert bits_of(combine(m1, m2, rule)) == \
+            {bits: w for bits, w in expected.items() if w}

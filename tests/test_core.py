@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -198,6 +200,48 @@ class TestConstruction:
         m = BeliefStructure.vacuous(frame4)
         with pytest.raises(AttributeError):
             m.frame = frame4
+
+
+def round_trips(value):
+    """value after pickle and after deepcopy: each a new object, both ==."""
+    copies = [pickle.loads(pickle.dumps(value)), copy.deepcopy(value)]
+    for other in copies:
+        assert other is not value
+        assert other == value
+    return copies
+
+
+class TestPickleAndCopy:
+    """The immutable values refuse __setattr__, so pickle and copy rebuild
+    them through their constructors."""
+
+    def test_frame_and_focal_set(self, frame4):
+        for frame in round_trips(frame4):
+            assert frame.atoms == frame4.atoms
+            assert hash(frame) == hash(frame4)
+            assert frame.index("c") == 2
+        focal = frame4.subset(["a", "c"])
+        for other in round_trips(focal):
+            assert other.bits == focal.bits and hash(other) == hash(focal)
+
+    def test_probability_interval(self):
+        interval = ProbabilityInterval(F(1, 3), F(2, 3))
+        round_trips(interval)
+
+    def test_structures_go_through_the_integer_form(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            frame = random_frame(rng, 1, 6)
+            m = random_structure(rng, frame, 6, rng.choice([None, 997]))
+            for other in round_trips(m):
+                assert list(other.bit_items()) == list(m.bit_items())
+                assert other._den == m._den
+
+    def test_subnormal_structure(self, frame4):
+        m = BeliefStructure(frame4, [(frame4.empty, "1/4"),
+                                     (frame4.full, "3/4")], subnormal=True)
+        for other in round_trips(m):
+            assert other.is_subnormal
 
 
 def typical(frame, names, strength):

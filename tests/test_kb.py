@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evicalc.kb as kb_module
 from evicalc import (
+    CELL_ROUTING_RULES,
     DEMPSTER,
     UNNORMALIZED,
     YAGER,
@@ -15,7 +20,9 @@ from evicalc import (
     Frame,
     KnowledgeBase,
     Typical,
+    combine_all,
     compile_statement,
+    discount,
     infer,
     parse_kb,
     query,
@@ -85,6 +92,13 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_kb(load(name))
         assert err.value.line == 2
+
+    def test_over_long_strength_is_a_parse_error(self):
+        # 5,000 digits pass the grammar but not the interpreter's digit limit
+        text = "frame: a, b\ntypically V is {a} strength " + "1" * 5000
+        with pytest.raises(ParseError, match="too many digits") as err:
+            parse_kb(text)
+        assert (err.value.line, err.value.col) == (2, 19)
 
     def test_comments_and_whitespace_are_ignored(self):
         kb = parse_kb(load("kb_fraction_strengths.kb"))
@@ -370,3 +384,91 @@ class TestInferOracle:
         assert str(err.value) == (f"total conflict (K = 1) while combining "
                                   f"statement {index} into the running "
                                   f"result")
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Counts the folds infer runs, by wrapping the combine_all it calls."""
+    calls = []
+
+    def counting(structures, rule=DEMPSTER):
+        calls.append(rule)
+        return combine_all(structures, rule)
+
+    monkeypatch.setattr(kb_module, "combine_all", counting)
+    return calls
+
+
+class TestInferCache:
+    """A knowledge base keeps its inference per rule, so infer, query and
+    typical_summary share one fold; errors are not kept."""
+
+    def test_one_fold_per_knowledge_base_and_rule(self, folds):
+        text = load("kb_strong_weak.kb")
+        kb = parse_kb(text)
+        a, b = kb.frame.subset(["a", "b"]), kb.frame.subset(["c", "d"])
+        m = infer(kb)
+        assert query(kb, DEMPSTER, a) == m.interval(a)
+        assert query(kb, DEMPSTER, b) == m.interval(b)
+        typical_summary(kb, DEMPSTER, a)
+        assert infer(kb, DEMPSTER) is m
+        assert folds == [DEMPSTER]
+        # another rule folds once more, and keeps its own result
+        assert infer(kb, YAGER) is infer(kb, YAGER) is not m
+        query(kb, YAGER, a)
+        assert folds == [DEMPSTER, YAGER]
+        assert infer(kb) is m
+        # an equal knowledge base parsed again folds again
+        again = parse_kb(text)
+        assert again == kb
+        assert infer(again) == m
+        assert folds == [DEMPSTER, YAGER, DEMPSTER]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from([*CELL_ROUTING_RULES, discount(F(2, 5))]))
+    def test_kept_result_is_a_fresh_fold(self, rng, rule):
+        frame = random_frame(rng, 2, 5)
+        kb = KnowledgeBase(frame, "V", tuple(
+            random_statements(rng, frame, rng.randint(1, 6), 0.3)))
+        compiled = [compile_statement(s, frame) for s in kb.statements]
+        try:
+            fresh = combine_all(compiled, rule)
+        except (TotalConflict, SubnormalInput) as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc)):
+                    infer(kb, rule)
+            return
+        for _ in range(2):
+            assert infer(kb, rule) == fresh
+
+    def test_total_conflict_is_raised_on_every_call(self, folds):
+        kb = parse_kb("frame: a, b\ntypically V is {a} strength 1/2\n"
+                      "V is {a}\nV is {b}\n")
+        for count in (1, 2, 3):
+            with pytest.raises(TotalConflict) as err:
+                query(kb, DEMPSTER, kb.frame.full)
+            assert err.value.statement_index == 3
+            assert len(folds) == count
+        assert kb._inferred == {}
+
+    def test_value_semantics_ignore_the_kept_inference(self):
+        kb = parse_kb(load("kb_three_statements.kb"))
+        names = [f.name for f in dataclasses.fields(kb)]
+        before = (repr(kb), hash(kb), serialize_kb(kb))
+        infer(kb)
+        infer(kb, YAGER)
+        assert (repr(kb), hash(kb), serialize_kb(kb)) == before
+        assert kb == parse_kb(load("kb_three_statements.kb"))
+        assert [f.name for f in dataclasses.fields(kb)] == names == \
+            ["frame", "variable", "statements"]
+
+    def test_pickle_and_deepcopy_before_and_after_inference(self):
+        kb = parse_kb(load("kb_strong_weak.kb"))
+        expected = infer(parse_kb(load("kb_strong_weak.kb")))
+        for filled in (False, True):
+            if filled:
+                infer(kb)
+            for other in (pickle.loads(pickle.dumps(kb)), copy.deepcopy(kb)):
+                assert other == kb and hash(other) == hash(kb)
+                assert infer(other) == expected
