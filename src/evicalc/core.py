@@ -10,6 +10,7 @@ common denominator (built and rescaled only here) and read out as exact
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import add
@@ -27,6 +28,7 @@ from .errors import (
 
 MAX_FRAME_ATOMS = 24
 MAX_TABLE_ATOMS = 20
+MAX_EXPONENT = 4300  # the interpreter's default int-string digit limit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,13 +36,26 @@ ONE = Fraction(1)
 MassLike = Fraction | int | str | float
 
 
+def check_exponent(text: str) -> str:
+    """The text of a mass, unless its decimal exponent exceeds MAX_EXPONENT
+    in magnitude: ``Fraction`` expands ``10**exponent`` before any check, so
+    "1e-100000000" would run for minutes.  No such mass could be printed."""
+    exp = text.lower().partition("e")[2].strip().lstrip("+-")
+    exp = exp.replace("_", "").lstrip("0")
+    if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
+        raise ValueError(f"mass {text!r} has an exponent beyond "
+                         f"{MAX_EXPONENT} in magnitude")
+    return text
+
+
 def to_mass(value: MassLike) -> Fraction:
     """Convert a mass-like value to an exact nonnegative Fraction.
 
     Strings may be fractions ("3/5") or decimal literals ("0.99", parsed
-    exactly to 99/100).  Floats go through their shortest decimal repr, so a
-    literal like 0.99 also becomes exactly 99/100; NaN and the infinities
-    are rejected, and so is ``bool``, although it is an ``int``.
+    exactly to 99/100; an exponent is bounded by :func:`check_exponent`).
+    Floats go through their shortest decimal repr, so a literal like 0.99
+    also becomes exactly 99/100; NaN and the infinities are rejected, and so
+    is ``bool``, although it is an ``int``.
     """
     if isinstance(value, Fraction):
         mass = value
@@ -53,8 +68,9 @@ def to_mass(value: MassLike) -> Fraction:
             raise ValueError(f"mass {value!r} is not a finite number")
         mass = Fraction(repr(value))
     elif isinstance(value, str):
+        text = check_exponent(value.strip())
         try:
-            mass = Fraction(value.strip())
+            mass = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse mass {value!r}") from exc
     else:
@@ -154,21 +170,20 @@ class Frame:
             yield FocalSet(self, bits)
 
 
+@dataclass(frozen=True)
 class FocalSet:
     """A subset of one frame, as a bitmask.  Immutable and hashable."""
 
     __slots__ = ("frame", "bits")
+    frame: Frame
+    bits: int
 
-    def __init__(self, frame: Frame, bits: int):
-        if bits < 0 or bits >> len(frame):
-            raise ValueError(f"bitmask {bits:#x} out of range for {frame!r}")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "bits", bits)
+    def __post_init__(self):
+        if self.bits < 0 or self.bits >> len(self.frame):
+            raise ValueError(
+                f"bitmask {self.bits:#x} out of range for {self.frame!r}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FocalSet is immutable")
-
-    def __reduce__(self):
+    def __reduce__(self):  # frozen slots cannot be restored by setattr
         return FocalSet, (self.frame, self.bits)
 
     def _check(self, other: "FocalSet") -> None:
@@ -218,13 +233,6 @@ class FocalSet:
         self._check(other)
         return bool(self.bits & other.bits)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FocalSet)
-                and self.frame == other.frame and self.bits == other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.frame, self.bits))
-
     def label(self) -> str:
         """Human-readable rendering, e.g. "{a, b}"; "{}" for the empty set."""
         return "{" + ", ".join(self.atoms) + "}"
@@ -256,20 +264,12 @@ def _zeta(table: list[int], n: int) -> None:
                                             table[top - half:top])
 
 
+@dataclass(frozen=True)
 class ProbabilityInterval:
     """The exact [belief, plausibility] bounds on the probability of a set."""
 
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower: Fraction, upper: Fraction):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbabilityInterval is immutable")
-
-    def __reduce__(self):
-        return ProbabilityInterval, (self.lower, self.upper)
+    lower: Fraction
+    upper: Fraction
 
     @property
     def width(self) -> Fraction:
@@ -278,13 +278,6 @@ class ProbabilityInterval:
     def contains(self, other: "ProbabilityInterval") -> bool:
         """Closed-interval containment: other fits inside self."""
         return self.lower <= other.lower and other.upper <= self.upper
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ProbabilityInterval)
-                and self.lower == other.lower and self.upper == other.upper)
-
-    def __hash__(self) -> int:
-        return hash((self.lower, self.upper))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter((self.lower, self.upper))
@@ -469,10 +462,6 @@ class BeliefStructure:
         _zeta(table, n)
         value = {x: Fraction(x, self._den) for x in set(table)}
         return [value[x] for x in table]
-
-    def nonempty_total(self) -> Fraction:
-        """Total mass on non-empty focal elements (1 unless subnormal)."""
-        return Fraction(self._den - self._nums.get(0, 0), self._den)
 
 
 def _common_form(m1: BeliefStructure, m2: BeliefStructure):

@@ -7,6 +7,8 @@ from :class:`KbError`, which carries source position information.
 
 from __future__ import annotations
 
+from functools import partial
+
 
 class EvicalcError(Exception):
     """Base class for all evicalc errors."""
@@ -96,6 +98,9 @@ class UnknownAtom(KbError):
                  col: int | None = None):
         self.name = name
         super().__init__(f"unknown atom {name!r}", line=line, col=col)
+
+    def __reduce__(self):  # rebuilt from its parts, not from its message
+        return partial(UnknownAtom, line=self.line, col=self.col), (self.name,)
 
 
 class VariableMismatch(KbError):

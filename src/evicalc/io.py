@@ -24,6 +24,7 @@ from .core import (
     BeliefStructure,
     FocalSet,
     Frame,
+    check_exponent,
     decimal6,
     mass_str,
     to_mass,
@@ -80,7 +81,7 @@ def dumps_structure(m: BeliefStructure) -> str:
 
 def loads_structure(text: str) -> BeliefStructure:
     # parse_float sees the literal source text, so decimals convert exactly
-    obj = json.loads(text, parse_float=Fraction)
+    obj = json.loads(text, parse_float=lambda s: Fraction(check_exponent(s)))
     return structure_from_obj(obj)
 
 

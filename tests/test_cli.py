@@ -52,6 +52,20 @@ class TestValidate:
         assert code == 1
         assert "MassSumNotOne" in err
 
+    @pytest.mark.parametrize("mass", ['"1e-100000000"', "1e-100000000"])
+    def test_huge_mass_exponent_is_one_error_line(self, tmp_path, mass):
+        path = tmp_path / "exponent.bs"
+        path.write_text('{"frame": ["a"], "masses": '
+                        '[{"set": ["a"], "mass": %s}]}' % mass)
+        # without the bound, Fraction expands 10**100000000: minutes
+        done = subprocess.run(
+            [sys.executable, "-m", "evicalc", "validate", path],
+            env=child_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"error: {path}: ValueError: mass '1e-100000000' has an exponent"
+            " beyond 4300 in magnitude"]
 
     def test_file_that_is_not_utf8_names_the_path(self, tmp_path):
         bad = tmp_path / "bad.bs"
@@ -294,6 +308,15 @@ class TestSweep:
         assert code == 0
         assert out == ""
         assert out_path.read_text().count("\n") == 3
+
+    @pytest.mark.parametrize("alphas, rule", [("1e-100000000", "dempster"),
+                                              ("1/2", "discount:1e100000000")])
+    def test_huge_exponent_is_a_usage_error(self, capsys, alphas, rule):
+        code, out, err = run(capsys, "sweep", "--alphas", alphas,
+                             "--betas", "1/2", "--rule", rule)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "exponent beyond 4300" in err
 
     def test_grid_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--alphas", "3/2",

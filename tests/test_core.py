@@ -35,6 +35,15 @@ class TestMass:
         assert to_mass(0.99) == F(99, 100)
         assert to_mass(0.5) == F(1, 2)
 
+    def test_exponent_is_bounded_before_expansion(self):
+        assert to_mass("1e-4300") == F(1, 10**4300)
+        assert to_mass(" 25E-02 ") == F(1, 4)
+        # Fraction would build 10**100000000 before any check: minutes
+        for text in ("1e-100000000", "1E+4301", "2.5e-1_000_000",
+                     "1e-" + "9" * 5000, " 1e-0004301 "):
+            with pytest.raises(ValueError, match="exponent beyond 4300"):
+                to_mass(text)
+
     def test_negative_rejected(self):
         with pytest.raises(NegativeMass):
             to_mass("-1/2")
@@ -212,8 +221,8 @@ def round_trips(value):
 
 
 class TestPickleAndCopy:
-    """The immutable values refuse __setattr__, so pickle and copy rebuild
-    them through their constructors."""
+    """The immutable values refuse __setattr__, yet pickle and copy give
+    equal values (the slotted ones rebuild through their constructors)."""
 
     def test_frame_and_focal_set(self, frame4):
         for frame in round_trips(frame4):
@@ -227,6 +236,35 @@ class TestPickleAndCopy:
     def test_probability_interval(self):
         interval = ProbabilityInterval(F(1, 3), F(2, 3))
         round_trips(interval)
+
+    @pytest.mark.parametrize("names", [[], ["a"], ["a", "c"], list("abcd")])
+    def test_focal_set_is_a_frozen_value(self, frame4, names):
+        focal = frame4.subset(names)
+        for name in ("bits", "frame", "other"):
+            with pytest.raises(AttributeError):
+                setattr(focal, name, 1)
+        for stranger in (focal.bits, (frame4, focal.bits), None, "{a}"):
+            assert not focal == stranger and focal != stranger
+        # the set and dict orders of the outputs follow this hash
+        assert hash(focal) == hash((frame4, focal.bits))
+        assert focal == Frame("abcd").subset(names)
+        for bits in (-1 - focal.bits, focal.bits | 1 << 4):
+            with pytest.raises(ValueError, match="out of range"):
+                frame4.from_bits(bits)
+
+    @pytest.mark.parametrize("lower, upper", [(F(0), F(1)), (F(1, 3), F(2, 3)),
+                                              (F(1, 2), F(1, 2))])
+    def test_probability_interval_is_a_frozen_value(self, lower, upper):
+        interval = ProbabilityInterval(lower, upper)
+        for name in ("lower", "upper", "other"):
+            with pytest.raises(AttributeError):
+                setattr(interval, name, F(0))
+        for stranger in ((lower, upper), [lower, upper], None, lower):
+            assert not interval == stranger and interval != stranger
+        assert hash(interval) == hash((lower, upper))
+        assert interval == ProbabilityInterval(lower, upper)
+        assert tuple(interval) == (lower, upper)
+        assert repr(interval) == f"ProbabilityInterval({lower}, {upper})"
 
     def test_structures_go_through_the_integer_form(self):
         rng = random.Random(23)

@@ -38,6 +38,13 @@ class TestStructureDocuments:
             with pytest.raises(ValueError, match=f"mass {name} is not"):
                 io.loads_structure(doc % literal)
 
+    def test_mass_exponent_is_bounded_in_strings_and_numbers(self):
+        doc = '{"frame": ["a"], "masses": [{"set": ["a"], "mass": %s}]}'
+        assert len(io.loads_structure(doc % "1e0")) == 1
+        for literal in ('"1e-100000000"', "1e-100000000", "1E+4301"):
+            with pytest.raises(ValueError, match="exponent beyond 4300"):
+                io.loads_structure(doc % literal)
+
     def test_subnormal_flag_gates_the_empty_set(self):
         doc = ('{"frame": ["a"], "subnormal": %s,'
                ' "masses": [{"set": [], "mass": "1/2"},'

@@ -72,6 +72,14 @@ class TestParse:
         assert err.value.name == "e"
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("line, col", [(None, None), (2, None), (3, 7)])
+    def test_unknown_atom_survives_pickle_and_copy(self, line, col):
+        err = UnknownAtom("e", line=line, col=col)
+        for other in (pickle.loads(pickle.dumps(err)), copy.deepcopy(err)):
+            assert type(other) is UnknownAtom
+            assert str(other) == str(err)
+            assert (other.name, other.line, other.col) == ("e", line, col)
+
     def test_variable_mismatch(self):
         with pytest.raises(VariableMismatch) as err:
             parse_kb(load("err_variable_mismatch.kb"))
