@@ -24,14 +24,12 @@ from .combine import (
     UNNORMALIZED,
     YAGER,
     CombinationRule,
-    ProductCell,
     combine,
     combine_all,
     conflict_mass,
     discount,
     parse_rule,
     possibility,
-    product_cells,
 )
 from .entailment import (
     EntailmentWitness,
@@ -73,8 +71,8 @@ __all__ = [
     "decimal6", "mass_str", "to_mass",
     "CELL_ROUTING_RULES", "DEMPSTER", "DUBOIS_PRADE", "PRIORITY_FIRST",
     "PRIORITY_SECOND", "UNNORMALIZED", "YAGER", "CombinationRule",
-    "ProductCell", "combine", "combine_all", "conflict_mass", "discount",
-    "parse_rule", "possibility", "product_cells",
+    "combine", "combine_all", "conflict_mass", "discount", "parse_rule",
+    "possibility",
     "EntailmentWitness", "flow_entails", "hedge", "interval_contained",
     "partition_entails", "validate_witness", "weaken_to",
     "MonotonicityReport", "SweepRow", "canonical_pair", "monotonic_step",

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import io
 from .combine import _combine_with_conflict, combine_all, parse_rule
@@ -24,22 +23,17 @@ from .monotonicity import pairwise_survey, sweep, sweep_csv
 
 
 class _LoadFailure(Exception):
-    """An input file could not be read or parsed; exits with status 1."""
+    """A file could not be read, parsed or written; exits with status 1."""
 
     def __init__(self, path: str, cause: Exception):
-        self.path = path
-        self.cause = cause
         super().__init__(f"{path}: {type(cause).__name__}: {cause}")
 
 
 def _load(path: str, parse):
     """Read an input file and parse its text; a failure exits with status 1."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _LoadFailure(path, exc) from exc
-    try:
-        return parse(text)
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read())
     except Exception as exc:
         raise _LoadFailure(path, exc) from exc
 
@@ -92,13 +86,15 @@ def _cmd_combine(args) -> int:
         result, head = combine_all(structures, rule), f"rule: {rule}\n"
     sys.stdout.write(head + io.format_structure(result))
     if args.out:
-        _save(result, args.out)
+        _write(args.out, io.dumps_structure(result))
     return 0
 
 
-def _save(m: BeliefStructure, path: str) -> None:
+def _write(path: str, text: str) -> None:
+    """Write an output file; a failure exits with status 1."""
     try:
-        io.save_structure(m, path)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise _LoadFailure(path, exc) from exc
 
@@ -146,7 +142,7 @@ def _cmd_kb_infer(args) -> int:
         result = infer(kb, rule)
     sys.stdout.write(head + io.format_structure(result))
     if args.out:
-        _save(result, args.out)
+        _write(args.out, io.dumps_structure(result))
     return 0
 
 
@@ -159,14 +155,10 @@ def _cmd_sweep(args) -> int:
     alphas = [part.strip() for part in args.alphas.split(",")]
     betas = [part.strip() for part in args.betas.split(",")]
     rows = sweep(alphas, betas, disjoint=not args.overlap, rule=rule)
-    text = sweep_csv(rows)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _LoadFailure(args.out, exc) from exc
+        _write(args.out, sweep_csv(rows))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(sweep_csv(rows))
     return 0
 
 

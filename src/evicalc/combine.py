@@ -16,25 +16,23 @@ its weight:
 ``discount:<c>`` ignores the product table entirely and returns the pointwise
 mixture c*m1 + (1-c)*m2.
 
-A structure stores its integer form (bitmask -> numerator over one common
-denominator).  One product pass over two stored forms yields the routed
-numerators and the conflict K together, and the result is built from them
-in integers, with no Fraction per focal element.
+The table is never built cell by cell.  A structure stores its integer form
+(bitmask -> numerator over one common denominator), and one product pass,
+:func:`_product`, over two stored forms yields the routed numerators and the
+conflict K together; :func:`conflict_mass` reads K from the same pass.  The
+result is built from the numerators in integers, with no Fraction per focal
+element.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .core import ZERO, ONE, BeliefStructure, FocalSet, MassLike, to_mass
-from .errors import (
-    EmptyTarget,
-    FrameMismatch,
-    SubnormalInput,
-    TotalConflict,
-)
+from .core import (ZERO, ONE, BeliefStructure, FocalSet, MassLike,
+                   _check_frame, _num_text, to_mass)
+from .errors import EmptyTarget, SubnormalInput, TotalConflict
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ def discount(c: MassLike) -> CombinationRule:
     """Pointwise mixture rule c*m1 + (1-c)*m2 with 0 <= c <= 1."""
     weight = to_mass(c)
     if weight > 1:
-        raise ValueError(f"discount weight {weight} exceeds 1")
+        raise ValueError(f"discount weight {_num_text(weight)} exceeds 1")
     return CombinationRule("discount", weight)
 
 
@@ -82,35 +80,9 @@ def parse_rule(text: str) -> CombinationRule:
     raise ValueError(f"unknown combination rule {text!r}")
 
 
-@dataclass(frozen=True)
-class ProductCell:
-    """One entry of the pairwise product table."""
-
-    left: FocalSet
-    right: FocalSet
-    weight: Fraction
-
-    @property
-    def conflicting(self) -> bool:
-        return (self.left & self.right).is_empty
-
-
-def _check_pair(m1: BeliefStructure, m2: BeliefStructure) -> None:
-    if m1.frame != m2.frame:
-        raise FrameMismatch("cannot combine structures on different frames")
-
-
-def product_cells(m1: BeliefStructure,
-                  m2: BeliefStructure) -> list[ProductCell]:
-    """All product cells of a pair, in (left, right) bitmask order."""
-    _check_pair(m1, m2)
-    return [ProductCell(a, b, wa * wb)
-            for a, wa in m1.items() for b, wb in m2.items()]
-
-
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
     """The conflict K: total product weight landing on empty intersections."""
-    _check_pair(m1, m2)
+    _check_frame(m1.frame, m2, BeliefStructure)
     return Fraction(_product(m1._nums, m2._nums, None, 0)[1],
                     m1._den * m2._den)
 
@@ -156,6 +128,7 @@ def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
 def _step(m1: BeliefStructure, m2: BeliefStructure, rule: CombinationRule):
     """One combination: the result and the conflict numerator K over
     d1 * d2 (None under discount, which builds no product table)."""
+    _check_frame(m1.frame, m2, BeliefStructure)
     n1, d1, n2, d2 = m1._nums, m1._den, m2._nums, m2._den
     if 0 in n1 or 0 in n2:
         raise SubnormalInput("combination requires normal input structures")
@@ -183,7 +156,6 @@ def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,
                            rule: CombinationRule):
     """:func:`combine` and the pair's conflict K, from the same product
     pass; discount, which mixes instead, makes a pass for K alone."""
-    _check_pair(m1, m2)
     result, conflict = _step(m1, m2, rule)
     return result, (conflict_mass(m1, m2) if conflict is None
                     else Fraction(conflict, m1._den * m2._den))
@@ -217,7 +189,6 @@ def combine_all(structures: Sequence[BeliefStructure] |
         raise ValueError("combine_all needs at least one structure")
     result = items[0]
     for index, nxt in enumerate(items[1:], start=2):
-        _check_pair(result, nxt)
         try:
             result, _ = _step(result, nxt, rule)
         except TotalConflict:

@@ -6,15 +6,17 @@ is a subset of one frame, stored as a bitmask over atom indices.  A
 summing to exactly 1, stored as integer numerators by bitmask over one
 common denominator (built and rescaled only here) and read out as exact
 :class:`fractions.Fraction`; every invariant is checked with equality.
+Values on different frames never mix, and the one check that refuses them,
+for a set against a frame or for a pair of structures, lives here too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyFocalInNormal,
@@ -76,8 +78,22 @@ def to_mass(value: MassLike) -> Fraction:
     else:
         raise TypeError(f"cannot interpret {type(value).__name__} as a mass")
     if mass < 0:
-        raise NegativeMass(f"mass {mass} is negative")
+        raise NegativeMass(f"mass {_num_text(mass)} is negative")
     return mass
+
+
+def _num_text(value: Fraction) -> str:
+    """``str(value)`` for an error message, with each part past 199 bits
+    written "<d digits>": ``str`` refuses one past the digit limit."""
+    def part(n: int) -> str:
+        if n.bit_length() < 200:
+            return str(n)
+        digits = int(n.bit_length() * 0.30102999566398120)  # log10(2)
+        return f"{'-' * (n < 0)}<{digits + (abs(n) >= 10**digits)} digits>"
+
+    if value.denominator == 1:
+        return part(value.numerator)
+    return f"{part(value.numerator)}/{part(value.denominator)}"
 
 
 def mass_str(value: Fraction) -> str:
@@ -186,13 +202,6 @@ class FocalSet:
     def __reduce__(self):  # frozen slots cannot be restored by setattr
         return FocalSet, (self.frame, self.bits)
 
-    def _check(self, other: "FocalSet") -> None:
-        if not isinstance(other, FocalSet):
-            raise TypeError(f"expected FocalSet, got {type(other).__name__}")
-        if other.frame != self.frame:
-            raise FrameMismatch(
-                f"sets live on different frames: {self.frame!r} vs {other.frame!r}")
-
     @property
     def atoms(self) -> tuple[str, ...]:
         return tuple(a for i, a in enumerate(self.frame.atoms)
@@ -212,25 +221,25 @@ class FocalSet:
         return bool(self.bits >> self.frame.index(name) & 1)
 
     def __and__(self, other: "FocalSet") -> "FocalSet":
-        self._check(other)
+        _check_frame(self.frame, other)
         return FocalSet(self.frame, self.bits & other.bits)
 
     def __or__(self, other: "FocalSet") -> "FocalSet":
-        self._check(other)
+        _check_frame(self.frame, other)
         return FocalSet(self.frame, self.bits | other.bits)
 
     def __invert__(self) -> "FocalSet":
         return FocalSet(self.frame, self.bits ^ self.frame.full.bits)
 
     def issubset(self, other: "FocalSet") -> bool:
-        self._check(other)
+        _check_frame(self.frame, other)
         return self.bits & other.bits == self.bits
 
     def __le__(self, other: "FocalSet") -> bool:
         return self.issubset(other)
 
     def intersects(self, other: "FocalSet") -> bool:
-        self._check(other)
+        _check_frame(self.frame, other)
         return bool(self.bits & other.bits)
 
     def label(self) -> str:
@@ -239,6 +248,16 @@ class FocalSet:
 
     def __repr__(self) -> str:
         return f"FocalSet({self.label()})"
+
+
+def _check_frame(frame: Frame, value, kind: type = FocalSet) -> None:
+    """The frame rule, which every FrameMismatch comes from: ``value`` must
+    be a ``kind`` (a FocalSet, or a BeliefStructure to pair with one on
+    ``frame``) bound to ``frame``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    if value.frame != frame:
+        raise FrameMismatch(f"frames differ: {frame!r} vs {value.frame!r}")
 
 
 def _zeta(table: list[int], n: int) -> None:
@@ -271,14 +290,6 @@ class ProbabilityInterval:
     lower: Fraction
     upper: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    def contains(self, other: "ProbabilityInterval") -> bool:
-        """Closed-interval containment: other fits inside self."""
-        return self.lower <= other.lower and other.upper <= self.upper
-
     def __iter__(self) -> Iterator[Fraction]:
         return iter((self.lower, self.upper))
 
@@ -309,12 +320,7 @@ class BeliefStructure:
             assignments = assignments.items()
         masses: list[tuple[int, Fraction]] = []
         for focal, raw in assignments:
-            if not isinstance(focal, FocalSet):
-                raise TypeError(
-                    f"expected FocalSet key, got {type(focal).__name__}")
-            if focal.frame != frame:
-                raise FrameMismatch(
-                    f"focal set {focal.label()} is bound to a different frame")
+            _check_frame(frame, focal)
             mass = to_mass(raw)
             if mass:
                 masses.append((focal.bits, mass))
@@ -343,7 +349,8 @@ class BeliefStructure:
                 "the empty set may carry mass only in a subnormal structure")
         total = sum(nums.values())
         if total != den:
-            raise MassSumNotOne(f"masses sum to {Fraction(total, den)}, not 1")
+            raise MassSumNotOne(
+                f"masses sum to {_num_text(Fraction(total, den))}, not 1")
         g = gcd(den, *nums.values())
         if g > 1:
             nums, den = {bits: w // g for bits, w in nums.items()}, den // g
@@ -369,7 +376,7 @@ class BeliefStructure:
         return 0 in self._nums
 
     def mass(self, focal: FocalSet) -> Fraction:
-        self._check(focal)
+        _check_frame(self.frame, focal)
         return Fraction(self._nums.get(focal.bits, 0), self._den)
 
     def items(self) -> Iterator[tuple[FocalSet, Fraction]]:
@@ -399,27 +406,20 @@ class BeliefStructure:
         body = ", ".join(f"{f.label()}: {m}" for f, m in self.items())
         return f"BeliefStructure({{{body}}})"
 
-    def _check(self, focal: FocalSet) -> None:
-        if not isinstance(focal, FocalSet):
-            raise TypeError(f"expected FocalSet, got {type(focal).__name__}")
-        if focal.frame != self.frame:
-            raise FrameMismatch(
-                f"query set {focal.label()} is bound to a different frame")
-
     def bel(self, focal: FocalSet) -> Fraction:
         """Total mass of non-empty focal elements contained in the set.
 
         Empty-set mass is never counted, so belief stays a lower bound and
         bel <= pl holds focal-wise even for subnormal structures.
         """
-        self._check(focal)
+        _check_frame(self.frame, focal)
         bits = focal.bits
         return Fraction(sum(w for f, w in self._nums.items()
                             if f and f & bits == f), self._den)
 
     def pl(self, focal: FocalSet) -> Fraction:
         """Total mass of focal elements that intersect the set."""
-        self._check(focal)
+        _check_frame(self.frame, focal)
         bits = focal.bits
         return Fraction(sum(w for f, w in self._nums.items() if f & bits),
                         self._den)
@@ -466,7 +466,9 @@ class BeliefStructure:
 
 def _common_form(m1: BeliefStructure, m2: BeliefStructure):
     """Both structures' (bitmask, numerator) lists, in bitmask order,
-    rescaled to one denominator, the lcm of theirs, and that denominator."""
+    rescaled to one denominator, the lcm of theirs, and that denominator;
+    the two must share a frame."""
+    _check_frame(m1.frame, m2, BeliefStructure)
     den = lcm(m1._den, m2._den)
     s1, s2 = den // m1._den, den // m2._den
     return ([(bits, w * s1) for bits, w in m1._nums.items()],

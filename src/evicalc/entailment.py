@@ -38,13 +38,13 @@ from .core import (
     BeliefStructure,
     FocalSet,
     MassLike,
+    _check_frame,
     _common_form,
     _zeta,
     to_mass,
 )
 from .errors import (
     EmptyTarget,
-    FrameMismatch,
     FrameTooLarge,
     NotTypicalForm,
     SearchBudgetExceeded,
@@ -78,12 +78,6 @@ class EntailmentWitness:
         return {a: b for a, b, _ in self.triples}
 
 
-def _check_pair(m1: BeliefStructure, m2: BeliefStructure) -> None:
-    if m1.frame != m2.frame:
-        raise FrameMismatch(
-            "entailment is only defined between structures on one frame")
-
-
 def validate_witness(specific: BeliefStructure, general: BeliefStructure,
                      witness: EntailmentWitness) -> bool:
     """Re-check a witness against the two structures, without searching.
@@ -92,7 +86,7 @@ def validate_witness(specific: BeliefStructure, general: BeliefStructure,
     against the specific masses, exact column sums against the general
     masses, and (for partition mode) that no specific focal is split.
     """
-    _check_pair(specific, general)
+    _check_frame(specific.frame, general, BeliefStructure)
     rows: dict[FocalSet, Fraction] = {}
     cols: dict[FocalSet, Fraction] = {}
     for a, b, w in witness.triples:
@@ -158,7 +152,6 @@ def partition_entails(m1: BeliefStructure,
 def _transport_problem(m1: BeliefStructure, m2: BeliefStructure):
     """Both (bitmask, numerator) lists over one common denominator, that
     denominator and, per specific focal, the general focals containing it."""
-    _check_pair(m1, m2)
     specific, general, scale = _common_form(m1, m2)
     return specific, general, scale, [
         [j for j, (b, _) in enumerate(general) if a & b == a]
@@ -242,13 +235,12 @@ def interval_contained(
     (bel2 above bel1) or d(X - S) < d(X) (pl1 above pl2).  Returns (True,
     None) on success, else (False, first violating subset in bitmask order).
     """
-    _check_pair(m1, m2)
+    first, second, _ = _common_form(m1, m2)
     n = len(m1.frame)
     if n > MAX_TABLE_ATOMS:
         raise FrameTooLarge(
             f"exhaustive interval check needs at most {MAX_TABLE_ATOMS} "
             f"atoms, got {n}")
-    first, second, _ = _common_form(m1, m2)
     diff = [0] * (1 << n)
     for focals, sign in ((first, 1), (second, -1)):
         for bits, w in focals:

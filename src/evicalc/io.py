@@ -16,9 +16,8 @@ fractions, so writing is byte-stable.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from pathlib import Path
-from typing import Any
 
 from .core import (
     BeliefStructure,
@@ -38,7 +37,7 @@ def set_to_obj(focal: FocalSet) -> list[str]:
     return list(focal.atoms)
 
 
-def structure_to_obj(m: BeliefStructure) -> dict[str, Any]:
+def structure_to_obj(m: BeliefStructure) -> dict[str, object]:
     return {
         "frame": list(m.frame.atoms),
         "subnormal": m.is_subnormal,
@@ -47,7 +46,7 @@ def structure_to_obj(m: BeliefStructure) -> dict[str, Any]:
     }
 
 
-def structure_from_obj(obj: Any) -> BeliefStructure:
+def structure_from_obj(obj: object) -> BeliefStructure:
     if not isinstance(obj, dict):
         raise ValueError("belief-structure document must be a JSON object")
     try:
@@ -85,15 +84,17 @@ def loads_structure(text: str) -> BeliefStructure:
     return structure_from_obj(obj)
 
 
-def load_structure(path: str | Path) -> BeliefStructure:
-    return loads_structure(Path(path).read_text(encoding="utf-8"))
+def load_structure(path: str | os.PathLike) -> BeliefStructure:
+    with open(path, encoding="utf-8") as f:
+        return loads_structure(f.read())
 
 
-def save_structure(m: BeliefStructure, path: str | Path) -> None:
-    Path(path).write_text(dumps_structure(m), encoding="utf-8")
+def save_structure(m: BeliefStructure, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dumps_structure(m))
 
 
-def witness_to_obj(witness: EntailmentWitness) -> dict[str, Any]:
+def witness_to_obj(witness: EntailmentWitness) -> dict[str, object]:
     return {
         "mode": witness.mode,
         "triples": [{"from": set_to_obj(a), "to": set_to_obj(b),
@@ -101,7 +102,7 @@ def witness_to_obj(witness: EntailmentWitness) -> dict[str, Any]:
     }
 
 
-def report_to_obj(report: MonotonicityReport) -> dict[str, Any]:
+def report_to_obj(report: MonotonicityReport) -> dict[str, object]:
     def maybe_set(focal: FocalSet | None) -> list[str] | None:
         return None if focal is None else set_to_obj(focal)
 

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combine import DEMPSTER, CombinationRule, combine_all
-from .core import BeliefStructure, FocalSet, Frame, ProbabilityInterval, ONE
+from .core import (BeliefStructure, FocalSet, Frame, ProbabilityInterval,
+                   ONE, _check_frame)
 from .entailment import weaken_to
 from .errors import (
-    FrameMismatch,
     MissingFrame,
     ParseError,
     StrengthOutOfRange,
@@ -90,10 +90,7 @@ class KnowledgeBase:
         if not self.statements:
             raise ValueError("a knowledge base needs at least one statement")
         for stmt in self.statements:
-            if stmt.set.frame != self.frame:
-                raise FrameMismatch(
-                    "statement sets must be bound to the knowledge base's "
-                    "frame")
+            _check_frame(self.frame, stmt.set)
         object.__setattr__(self, "_inferred", {})
 
 

@@ -35,6 +35,7 @@ from .core import (
     FocalSet,
     Frame,
     MassLike,
+    _num_text,
     decimal6,
     mass_str,
     to_mass,
@@ -171,7 +172,8 @@ def sweep(alpha_grid: list[MassLike], beta_grid: list[MassLike],
                 raise GridOutOfRange(
                     f"grid value {raw} is outside [0, 1]") from None
             if value > 1:
-                raise GridOutOfRange(f"grid value {value} is outside [0, 1]")
+                raise GridOutOfRange(
+                    f"grid value {_num_text(value)} is outside [0, 1]")
             out.append(value)
         return out
 

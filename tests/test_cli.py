@@ -114,6 +114,45 @@ class TestQuery:
         assert "zebra" in err
 
 
+LONG = "1." + "0" * 4299 + "1"  # 1 + 10**-4300, beyond str()'s digit limit
+
+
+class TestLongNumbersInErrors:
+    """A number too long to print is named by its digit counts."""
+
+    @pytest.mark.parametrize("document, message", [
+        ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": "1e-4300"}]}',
+         "MassSumNotOne: masses sum to 1/<4301 digits>, not 1"),
+        ('{"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": "1e-4299"},'
+         ' {"set": ["b"], "mass": "1"}]}',
+         "MassSumNotOne: masses sum to <4300 digits>/<4300 digits>, not 1"),
+        ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": "-1e-4300"}]}',
+         "NegativeMass: mass -1/<4301 digits> is negative"),
+    ])
+    def test_structure_file_exits_1(self, capsys, tmp_path, document,
+                                    message):
+        path = tmp_path / "long.bs"
+        path.write_text(document)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {path}: {message}"]
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("argv, message", [
+        (("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+          "--rule", "discount:" + LONG),
+         "discount weight <4301 digits>/<4301 digits> exceeds 1"),
+        (("sweep", "--alphas", LONG, "--betas", "1/2", "--rule", "dempster"),
+         "GridOutOfRange: grid value <4301 digits>/<4301 digits> is outside "
+         "[0, 1]"),
+    ])
+    def test_argument_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+        assert len(err.encode()) < 300
+
+
 class TestCombine:
     def test_total_conflict_exits_2(self, capsys):
         code, _, err = run(capsys, "combine", DATA / "point_a.bs",
@@ -157,6 +196,19 @@ class TestCombine:
                            DATA / "desk_b_overlap.bs", "--rule", "median")
         assert code == 2
         assert "unknown combination rule" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+         "--rule", "yager"),
+        ("kb-infer", DATA / "kb_equal_half.kb"),
+        ("sweep", "--alphas", "1/2", "--betas", "1/2", "--rule", "yager")])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        code, _, err = run(capsys, *argv, "-o", path)
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {path}: FileNotFoundError: [Errno 2] No such file or "
+            f"directory: '{path}'"]
 
 
 class TestEntails:
@@ -329,8 +381,9 @@ class TestImports:
     """The CLI runs on the standard library alone."""
 
     @staticmethod
-    def python(code, *args):
-        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    def python(code, *args, flags=()):
+        return subprocess.run([sys.executable, *flags, "-c", code,
+                               *map(str, args)],
                               env=child_env(), capture_output=True,
                               text=True, timeout=120)
 
@@ -339,6 +392,18 @@ class TestImports:
                            "print('networkx' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+        # without site, which may import them itself, typing and pathlib
+        # stay out too
+        done = self.python("import sys, evicalc.cli; print(sorted("
+                           "{'networkx', 'typing', 'pathlib'} "
+                           "& sys.modules.keys()))", flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from evicalc import *", namespace)
+        assert [n for n in evicalc.__all__ if n not in namespace] == []
 
     def test_flow_entails_with_networkx_blocked(self):
         # a None entry makes any import of networkx fail, installed or not

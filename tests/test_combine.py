@@ -23,7 +23,6 @@ from evicalc import (
     flow_entails,
     parse_rule,
     possibility,
-    product_cells,
 )
 from evicalc.errors import (
     EmptyTarget,
@@ -204,13 +203,6 @@ class TestCombineContracts:
                               subnormal=True)
         with pytest.raises(SubnormalInput):
             combine(sub, BeliefStructure.vacuous(frame4), DEMPSTER)
-
-    def test_product_cells_cover_the_unit(self, desk):
-        _, _, _, _, m1, m2, _ = desk
-        cells = product_cells(m1, m2)
-        assert sum(c.weight for c in cells) == 1
-        assert sum(c.weight for c in cells if c.conflicting) == \
-            conflict_mass(m1, m2)
 
     def test_rule_parsing(self):
         assert parse_rule("dempster") is DEMPSTER

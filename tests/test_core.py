@@ -1,13 +1,15 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from evicalc import BeliefStructure, Frame, ProbabilityInterval, decimal6, \
-    mass_str, to_mass
+from evicalc import Absolute, BeliefStructure, Frame, KnowledgeBase, \
+    ProbabilityInterval, combine, decimal6, flow_entails, mass_str, to_mass
+from evicalc.core import _num_text
 from evicalc.errors import (
     EmptyFocalInNormal,
     FrameMismatch,
@@ -64,6 +66,15 @@ class TestMass:
                            match=f"mass {value!r} is not a finite number"):
             to_mass(value)
 
+    def test_long_numbers_in_messages_are_named_by_digit_count(self):
+        short = (F(5, 6), F(-7, 6), F(0), F(2**199 - 1))
+        assert [_num_text(x) for x in short] == [str(x) for x in short]
+        for k in range(61, 400):  # 10**61 has 203 bits, past the cut
+            assert _num_text(F(10**k)) == f"<{k + 1} digits>"
+            assert _num_text(F(10**k - 1, 10)) == f"<{k} digits>/10"
+            assert _num_text(F(-10**k - 1, 2)) == f"-<{k + 1} digits>/2"
+        assert _num_text(F(1, 10**4300)) == "1/<4301 digits>"
+
     def test_rendering(self):
         assert mass_str(F(3, 10)) == "3/10"
         assert mass_str(F(1)) == "1"
@@ -115,6 +126,26 @@ class TestFocalSet:
     def test_cross_frame_operations_fail(self, frame4, frame5):
         with pytest.raises(FrameMismatch):
             frame4.subset(["a"]) & frame5.subset(["a"])
+
+    def test_every_frame_mismatch_is_one_line_naming_the_frames(
+            self, frame4, frame5):
+        m4 = BeliefStructure.vacuous(frame4)
+        m5 = BeliefStructure.vacuous(frame5)
+        message = re.escape(f"frames differ: {frame4!r} vs {frame5!r}")
+        for call in (lambda: frame4.full & frame5.full,
+                     lambda: m4.pl(frame5.full),
+                     lambda: BeliefStructure(frame4, [(frame5.full, 1)]),
+                     lambda: KnowledgeBase(frame4, "V",
+                                           (Absolute(frame5.full),)),
+                     lambda: combine(m4, m5), lambda: flow_entails(m4, m5)):
+            with pytest.raises(FrameMismatch, match=f"^{message}$"):
+                call()
+        for call, kind in ((lambda: frame4.full | 3, "FocalSet"),
+                           (lambda: m4.bel("a"), "FocalSet"),
+                           (lambda: combine(m4, frame4.full),
+                            "BeliefStructure")):
+            with pytest.raises(TypeError, match=f"^expected {kind}, got "):
+                call()
 
 
 class TestConstruction:
