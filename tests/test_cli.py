@@ -114,6 +114,16 @@ class TestQuery:
         assert "zebra" in err
 
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    def test_empty_input_file_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.kb"
+        path.write_text(text)
+        code, out, err = run(capsys, "query", path, "--set", "a")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: EvicalcError: empty input file"]
+
+
 LONG = "1." + "0" * 4299 + "1"  # 1 + 10**-4300, beyond str()'s digit limit
 
 

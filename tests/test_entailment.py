@@ -249,6 +249,39 @@ class TestFlow:
             assert validate_witness(m1, m3, witness)
 
 
+class TestValidateWitness:
+    """Each way a witness can be wrong, against {c, d}: 3/4 entailing
+    {c, d}: 1/2, whose one flow is cd->cd 1/2, cd->X 1/4, X->X 1/4."""
+
+    @pytest.mark.parametrize("mode, triples, verdict", [
+        ("flow", [("cd", "cd", "1/2"), ("cd", "X", "1/4"), ("X", "X", "1/4")],
+         True),
+        ("flow", [("cd'", "cd", "1/2"), ("cd", "X", "1/4"),
+                  ("X", "X", "1/4")], False),
+        ("flow", [("cd", "cd", "1/2"), ("cd", "X", "1/4"), ("X", "X", "1/4"),
+                  ("cd", "cd", "0")], False),
+        ("flow", [("cd", "cd", "3/4"), ("cd", "cd", "-1/4"),
+                  ("cd", "X", "1/4"), ("X", "X", "1/4")], False),
+        ("flow", [("cd", "cd", "1/4"), ("X", "cd", "1/4"), ("cd", "X", "1/2")],
+         False),
+        ("flow", [("cd", "cd", "1/2"), ("cd", "X", "1/2")], False),
+        ("flow", [("cd", "cd", "3/4"), ("X", "X", "1/4")], False),
+        ("partition", [("cd", "cd", "1/2"), ("cd", "X", "1/4"),
+                       ("X", "X", "1/4")], False),
+    ], ids=["valid", "foreign-frame", "zero-weight", "negative-weight",
+            "not-contained", "row-sums", "column-sums", "partition-split"])
+    def test_verdict(self, frame5, mode, triples, verdict):
+        from evicalc import EntailmentWitness
+
+        sets = {"cd": frame5.subset(["c", "d"]), "X": frame5.full,
+                "cd'": Frame(["a", "b", "c", "d", "f"]).subset(["c", "d"])}
+        witness = EntailmentWitness(mode, tuple(
+            (sets[a], sets[b], F(w)) for a, b, w in triples))
+        assert validate_witness(typical(frame5, ["c", "d"], F(3, 4)),
+                                typical(frame5, ["c", "d"], F(1, 2)),
+                                witness) is verdict
+
+
 class TestFlowOracle:
     """The max-flow decision against Hall's condition by brute force."""
 

@@ -72,6 +72,15 @@ class TestStructureDocuments:
             with pytest.raises(ValueError):
                 io.loads_structure(doc)
 
+    @pytest.mark.parametrize("masses", ['{"set": ["a"], "mass": 1}', '"a"',
+                                        "1", "null"])
+    def test_masses_must_be_a_list(self, masses):
+        obj = json.loads('{"frame": ["a"], "masses": %s}' % masses)
+        with pytest.raises(ValueError) as err:
+            io.structure_from_obj(obj)
+        assert str(err.value) == \
+            '"masses" must be a list of {"set", "mass"} entries'
+
     def test_round_trip_random_structures(self):
         rng = random.Random(70)
         for _ in range(25):

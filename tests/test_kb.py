@@ -101,6 +101,31 @@ class TestParse:
             parse_kb(load(name))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("frame: a, b\nV is {a b}\n", 2, 7, "bad atom name 'a b'"),
+        ("frame: a, b c\n", 1, 1,
+         "frame atoms must be comma-separated names"),
+        ("frame: a, a\n", 1, 1, "duplicate atom 'a'"),
+        ("frame: " + ", ".join(f"x{i}" for i in range(25)) + "\n", 1, 1,
+         "frame has 25 atoms; the cap is 24"),
+        ("frame: a, b\ntypically V is {a}\n", 2, 19,
+         'a typical statement ends with "strength N"'),
+        ("frame: a, b\ntypically V is {a} strength high\n", 2, 19,
+         "bad strength 'high': use a decimal or p/q fraction"),
+        ("frame: a, b\ntypically V is {a} strength 1/0\n", 2, 19,
+         "bad strength '1/0': zero denominator"),
+        ("frame: a, b\nV is {a} always\n", 2, 9,
+         "unexpected trailing text 'always'"),
+    ], ids=["atom-name", "frame-atoms", "duplicate-atom", "25-atoms",
+            "no-strength", "strength-token", "zero-denominator",
+            "trailing-text"])
+    def test_each_parse_error_names_its_line_and_column(self, text, line,
+                                                        col, message):
+        with pytest.raises(ParseError) as err:
+            parse_kb(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+
     def test_over_long_strength_is_a_parse_error(self):
         # 5,000 digits pass the grammar but not the interpreter's digit limit
         text = "frame: a, b\ntypically V is {a} strength " + "1" * 5000

@@ -226,6 +226,17 @@ class TestSweep:
         with pytest.raises(GridOutOfRange):
             sweep([F(1, 2)], ["-1/2"], disjoint=True, rule=DEMPSTER)
 
+    @pytest.mark.parametrize("alpha, beta, line", [
+        (F(1, 2), F(1, 2), "0.500000,1/2,0.500000,1/2,0.250000,1/4,"
+                           "0.250000,1/4,0.500000,1/2,"),
+        (F(1), F(1), "1.000000,1,1.000000,1,1.000000,1,0.000000,0,"
+                     "0.000000,0,"),
+    ])
+    def test_subnormal_row_leaves_the_verdict_blank(self, alpha, beta, line):
+        rows = sweep([alpha], [beta], disjoint=True, rule=UNNORMALIZED)
+        assert rows[0].violation is None and not rows[0].infeasible
+        assert sweep_csv(rows).splitlines()[1] == line
+
     def test_csv_shape(self):
         rows = sweep([F(3, 5), F(1)], [F(1, 2), F(1)], disjoint=True,
                      rule=DEMPSTER)
