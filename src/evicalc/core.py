@@ -38,48 +38,49 @@ ONE = Fraction(1)
 MassLike = Fraction | int | str | float
 
 
-def check_exponent(text: str) -> str:
-    """The text of a mass, unless its decimal exponent exceeds MAX_EXPONENT
-    in magnitude: ``Fraction`` expands ``10**exponent`` before any check, so
-    "1e-100000000" would run for minutes.  No such mass could be printed."""
+def _parse_mass(value: MassLike) -> Fraction:
+    """:func:`to_mass` without its sign test: the one parse of every number
+    evicalc reads, masses, sweep grid values and JSON number literals."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"a bool ({value}) is not a mass")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"mass {value!r} is not a finite number")
+        return Fraction(repr(value))
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {type(value).__name__} as a mass")
+    # Fraction expands 10**exponent unchecked: minutes for "1e-100000000"
+    text = value.strip()
     exp = text.lower().partition("e")[2].strip().lstrip("+-")
     exp = exp.replace("_", "").lstrip("0")
     if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
-        raise ValueError(f"mass {text!r} has an exponent beyond "
+        raise ValueError(f"mass {_text(text)} has an exponent beyond "
                          f"{MAX_EXPONENT} in magnitude")
-    return text
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse mass {_text(value)}") from exc
 
 
 def to_mass(value: MassLike) -> Fraction:
-    """Convert a mass-like value to an exact nonnegative Fraction.
-
-    Strings may be fractions ("3/5") or decimal literals ("0.99", parsed
-    exactly to 99/100; an exponent is bounded by :func:`check_exponent`).
-    Floats go through their shortest decimal repr, so a literal like 0.99
-    also becomes exactly 99/100; NaN and the infinities are rejected, and so
-    is ``bool``, although it is an ``int``.
-    """
-    if isinstance(value, Fraction):
-        mass = value
-    elif isinstance(value, bool):
-        raise TypeError(f"a bool ({value}) is not a mass")
-    elif isinstance(value, int):
-        mass = Fraction(value)
-    elif isinstance(value, float):
-        if not isfinite(value):
-            raise ValueError(f"mass {value!r} is not a finite number")
-        mass = Fraction(repr(value))
-    elif isinstance(value, str):
-        text = check_exponent(value.strip())
-        try:
-            mass = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse mass {value!r}") from exc
-    else:
-        raise TypeError(f"cannot interpret {type(value).__name__} as a mass")
+    """Convert a mass-like value to an exact nonnegative Fraction: strings
+    "3/5" or decimal ("0.99" is exactly 99/100; an exponent beyond
+    MAX_EXPONENT in magnitude is refused), ints, and floats through their
+    shortest repr (0.99 is 99/100 too).  NaN, the infinities and ``bool``,
+    although an ``int``, are rejected."""
+    mass = _parse_mass(value)
     if mass < 0:
         raise NegativeMass(f"mass {_num_text(mass)} is negative")
     return mass
+
+
+def _text(raw: str) -> str:
+    """``repr(raw)`` for an error message, or "<n characters>" past 99."""
+    return repr(raw) if len(raw) < 100 else f"<{len(raw)} characters>"
 
 
 def _num_text(value: Fraction) -> str:
@@ -179,11 +180,16 @@ class Frame:
 
     def all_subsets(self) -> Iterator["FocalSet"]:
         """All 2**n subsets in bitmask order (n capped for table work)."""
-        if len(self.atoms) > MAX_TABLE_ATOMS:
-            raise FrameTooLarge(
-                f"cannot enumerate subsets of a {len(self.atoms)}-atom frame")
-        for bits in range(1 << len(self.atoms)):
+        for bits in range(1 << self._table_atoms("subset enumeration")):
             yield FocalSet(self, bits)
+
+    def _table_atoms(self, work: str) -> int:
+        """n, if ``work`` over the 2**n subsets is within MAX_TABLE_ATOMS."""
+        n = len(self.atoms)
+        if n > MAX_TABLE_ATOMS:
+            raise FrameTooLarge(
+                f"{work} needs at most {MAX_TABLE_ATOMS} atoms, got {n}")
+        return n
 
 
 @dataclass(frozen=True)
@@ -451,10 +457,7 @@ class BeliefStructure:
         then divided by the denominator.  Equals the per-subset bel() on
         every index.
         """
-        n = len(self.frame)
-        if n > MAX_TABLE_ATOMS:
-            raise FrameTooLarge(
-                f"bel_table needs at most {MAX_TABLE_ATOMS} atoms, got {n}")
+        n = self.frame._table_atoms("bel_table")
         table = [0] * (1 << n)
         for bits, w in self._nums.items():
             table[bits] = w

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    MAX_TABLE_ATOMS,
     ONE,
     ZERO,
     BeliefStructure,
@@ -40,12 +39,12 @@ from .core import (
     MassLike,
     _check_frame,
     _common_form,
+    _num_text,
     _zeta,
     to_mass,
 )
 from .errors import (
     EmptyTarget,
-    FrameTooLarge,
     NotTypicalForm,
     SearchBudgetExceeded,
     StrengthIncrease,
@@ -236,11 +235,7 @@ def interval_contained(
     None) on success, else (False, first violating subset in bitmask order).
     """
     first, second, _ = _common_form(m1, m2)
-    n = len(m1.frame)
-    if n > MAX_TABLE_ATOMS:
-        raise FrameTooLarge(
-            f"exhaustive interval check needs at most {MAX_TABLE_ATOMS} "
-            f"atoms, got {n}")
+    n = m1.frame._table_atoms("exhaustive interval check")
     diff = [0] * (1 << n)
     for focals, sign in ((first, 1), (second, -1)):
         for bits, w in focals:
@@ -295,6 +290,7 @@ def hedge(m: BeliefStructure, new_strength: MassLike) -> BeliefStructure:
     lowered = to_mass(new_strength)
     if lowered > strength:
         raise StrengthIncrease(
-            f"cannot raise strength from {strength} to {lowered}")
+            f"cannot raise strength from {_num_text(strength)} to "
+            f"{_num_text(lowered)}")
     return BeliefStructure(
         m.frame, [(body, lowered), (m.frame.full, ONE - lowered)])

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 
 from .core import (
     BeliefStructure,
     FocalSet,
     Frame,
-    check_exponent,
+    _num_text,
+    _parse_mass,
     decimal6,
     mass_str,
     to_mass,
@@ -71,7 +73,14 @@ def structure_from_obj(obj: object) -> BeliefStructure:
             raise ValueError('"set" must be a list of atom names')
         assignments.append((frame.subset(entry["set"]),
                             to_mass(entry["mass"])))
-    return BeliefStructure(frame, assignments, subnormal=subnormal)
+    m = BeliefStructure(frame, assignments, subnormal=subnormal)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    for _, mass in m.bit_items():  # each must print; their lcm need not
+        den = mass.denominator  # a mass is at most 1: its longest part
+        if limit and den.bit_length() > 3 * limit and den >= 10**limit:
+            raise ValueError(f"mass {_num_text(mass)} has more than {limit} "
+                             f"digits, too many to print")
+    return m
 
 
 def dumps_structure(m: BeliefStructure) -> str:
@@ -80,7 +89,7 @@ def dumps_structure(m: BeliefStructure) -> str:
 
 def loads_structure(text: str) -> BeliefStructure:
     # parse_float sees the literal source text, so decimals convert exactly
-    obj = json.loads(text, parse_float=lambda s: Fraction(check_exponent(s)))
+    obj = json.loads(text, parse_float=_parse_mass)
     return structure_from_obj(obj)
 
 

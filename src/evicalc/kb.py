@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .combine import DEMPSTER, CombinationRule, combine_all
 from .core import (BeliefStructure, FocalSet, Frame, ProbabilityInterval,
-                   ONE, _check_frame)
+                   ONE, _check_frame, _num_text, _text)
 from .entailment import weaken_to
 from .errors import (
     MissingFrame,
@@ -66,9 +66,11 @@ class Typical:
         if self.set.is_empty:
             raise ValueError("a statement set must be non-empty")
         if not 0 < self.strength < 1:
+            hint = ("; write an absolute statement instead"
+                    if self.strength == 1 else "")
             raise StrengthOutOfRange(
-                f"typicality strength must be strictly between 0 and 1, "
-                f"got {self.strength}")
+                f"strength must be strictly between 0 and 1, got "
+                f"{_num_text(self.strength)}{hint}")
 
 
 Statement = Absolute | Typical
@@ -168,40 +170,32 @@ def parse_kb(text: str) -> KnowledgeBase:
         focal = _parse_set(frame, stmt.group("set"), lineno,
                            indent + stmt.start("set"))
         rest = stmt.group("rest")
+        at = {"line": lineno, "col": indent + stmt.start("rest")}
         if stmt.group("typ"):
             strength_match = _STRENGTH.match(rest)
             if not strength_match:
-                raise ParseError(
-                    'a typical statement ends with "strength N"',
-                    line=lineno, col=indent + stmt.start("rest"))
+                raise ParseError('a typical statement ends with "strength N"',
+                                 **at)
             token = strength_match.group("num")
             if not _NUMBER.match(token):
-                raise ParseError(
-                    f"bad strength {token!r}: use a decimal or p/q fraction",
-                    line=lineno, col=indent + stmt.start("rest"))
+                raise ParseError(f"bad strength {_text(token)}: use a decimal "
+                                 f"or p/q fraction", **at)
             try:
                 strength = Fraction(token)
             except ZeroDivisionError:
-                raise ParseError(f"bad strength {token!r}: zero denominator",
-                                 line=lineno,
-                                 col=indent + stmt.start("rest")) from None
+                raise ParseError(f"bad strength {_text(token)}: zero "
+                                 f"denominator", **at) from None
             except ValueError:  # past the interpreter's integer digit limit
                 raise ParseError(f"bad strength: too many digits "
-                                 f"({len(token)} characters)", line=lineno,
-                                 col=indent + stmt.start("rest")) from None
-            if not 0 < strength < 1:
-                hint = ("; write an absolute statement instead"
-                        if strength == 1 else "")
-                raise StrengthOutOfRange(
-                    f"strength must be strictly between 0 and 1, got "
-                    f"{strength}{hint}", line=lineno,
-                    col=indent + stmt.start("rest"))
-            statements.append(Typical(focal, strength))
+                                 f"({len(token)} characters)", **at) from None
+            try:
+                statements.append(Typical(focal, strength))
+            except StrengthOutOfRange as exc:  # the message, placed
+                raise StrengthOutOfRange(str(exc), **at) from None
         else:
             if rest.strip():
                 raise ParseError(
-                    f"unexpected trailing text {rest.strip()!r}",
-                    line=lineno, col=indent + stmt.start("rest"))
+                    f"unexpected trailing text {rest.strip()!r}", **at)
             statements.append(Absolute(focal))
     if frame is None:
         raise MissingFrame("no frame declaration found")

@@ -36,11 +36,11 @@ from .core import (
     Frame,
     MassLike,
     _num_text,
+    _parse_mass,
     decimal6,
     mass_str,
-    to_mass,
 )
-from .errors import GridOutOfRange, NegativeMass, TotalConflict
+from .errors import GridOutOfRange, TotalConflict
 from .entailment import flow_entails, interval_contained
 
 
@@ -166,12 +166,8 @@ def sweep(alpha_grid: list[MassLike], beta_grid: list[MassLike],
     def grid(values: list[MassLike]) -> list[Fraction]:
         out = []
         for raw in values:
-            try:
-                value = to_mass(raw)
-            except NegativeMass:
-                raise GridOutOfRange(
-                    f"grid value {raw} is outside [0, 1]") from None
-            if value > 1:
+            value = _parse_mass(raw)
+            if not 0 <= value <= 1:
                 raise GridOutOfRange(
                     f"grid value {_num_text(value)} is outside [0, 1]")
             out.append(value)

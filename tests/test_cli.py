@@ -138,12 +138,28 @@ class TestLongNumbersInErrors:
          "MassSumNotOne: masses sum to <4300 digits>/<4300 digits>, not 1"),
         ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": "-1e-4300"}]}',
          "NegativeMass: mass -1/<4301 digits> is negative"),
+        pytest.param(
+            '{"frame": ["a"], "masses": [{"set": ["a"], "mass": "%s"}]}'
+            % ("1" * 5000), "ValueError: cannot parse mass <5000 characters>",
+            id="5000-digit-mass"),
+        # every check passes, but 1/10**4300 has too many digits to print
+        pytest.param(
+            '{"frame": ["a", "b"], "masses": [{"set": ["a"], "mass": '
+            '"1e-4300"}, {"set": ["b"], "mass": "0.%s"}]}' % ("9" * 4300),
+            "ValueError: mass 1/<4301 digits> has more than 4300 digits, too "
+            "many to print", id="unprintable-mass"),
+        pytest.param(
+            "frame: a, b\ntypically V is {a} strength 1%s\n" % ("0" * 4000),
+            "StrengthOutOfRange: line 2, col 19: strength must be strictly "
+            "between 0 and 1, got <4001 digits>", id="kb-strength"),
     ])
     def test_structure_file_exits_1(self, capsys, tmp_path, document,
                                     message):
         path = tmp_path / "long.bs"
         path.write_text(document)
-        code, out, err = run(capsys, "validate", path)
+        # a knowledge base has no validate command
+        command = "validate" if document.startswith("{") else "kb-infer"
+        code, out, err = run(capsys, command, path)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {path}: {message}"]
         assert len(err.encode()) < 300
@@ -155,6 +171,11 @@ class TestLongNumbersInErrors:
         (("sweep", "--alphas", LONG, "--betas", "1/2", "--rule", "dempster"),
          "GridOutOfRange: grid value <4301 digits>/<4301 digits> is outside "
          "[0, 1]"),
+        pytest.param(
+            ("sweep", "--alphas", "-0." + "0" * 4298 + "1", "--betas", "1/2",
+             "--rule", "dempster"),
+            "GridOutOfRange: grid value -1/<4300 digits> is outside [0, 1]",
+            id="negative-grid-value"),
     ])
     def test_argument_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -51,8 +51,12 @@ class TestMass:
             to_mass("-1/2")
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot parse mass 'one half'$"):
             to_mass("one half")
+        # a long text is named by its length, not echoed
+        with pytest.raises(ValueError,
+                           match="^cannot parse mass <5000 characters>$"):
+            to_mass("1" * 5000)
 
     def test_bool_rejected_by_name(self):
         for flag in (True, False):
@@ -431,8 +435,12 @@ class TestBelTable:
 
     def test_frame_cap(self):
         frame = Frame([f"x{i}" for i in range(21)])
-        with pytest.raises(FrameTooLarge):
+        with pytest.raises(FrameTooLarge,
+                           match="bel_table needs at most 20 atoms, got 21"):
             BeliefStructure.vacuous(frame).bel_table()
+        with pytest.raises(FrameTooLarge, match="subset enumeration needs at "
+                           "most 20 atoms, got 21"):
+            next(frame.all_subsets())
 
 
 class TestInvariants:

@@ -423,7 +423,8 @@ class TestIntervalContained:
     def test_frame_cap(self):
         frame = Frame([f"x{i}" for i in range(21)])
         vac = BeliefStructure.vacuous(frame)
-        with pytest.raises(FrameTooLarge):
+        with pytest.raises(FrameTooLarge, match="exhaustive interval check "
+                           "needs at most 20 atoms, got 21"):
             interval_contained(vac, vac)
 
 
@@ -551,5 +552,11 @@ class TestHedge:
         with pytest.raises(NotTypicalForm):
             hedge(three, F(1, 4))
         m = typical(frame5, ["c", "d"], F(1, 2))
-        with pytest.raises(StrengthIncrease):
+        with pytest.raises(StrengthIncrease) as err:
             hedge(m, F(3, 4))
+        assert str(err.value) == "cannot raise strength from 1/2 to 3/4"
+        # a strength past the digit limit is named by its digit counts
+        with pytest.raises(StrengthIncrease) as err:
+            hedge(m, "0." + "9" * 4300)
+        assert str(err.value) == ("cannot raise strength from 1/2 to "
+                                  "<4300 digits>/<4301 digits>")

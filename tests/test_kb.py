@@ -172,10 +172,13 @@ class TestCompile:
         assert m == BeliefStructure.vacuous(kb.frame)
 
     def test_strength_bounds_enforced_in_code_too(self, frame5):
-        with pytest.raises(StrengthOutOfRange):
-            Typical(frame5.subset(["a"]), F(1))
-        with pytest.raises(StrengthOutOfRange):
-            Typical(frame5.subset(["a"]), F(0))
+        for strength, shown in (
+                (F(1), "1; write an absolute statement instead"), (F(0), "0"),
+                (F(3, 2), "3/2"), (F(10**4400), "<4401 digits>")):
+            with pytest.raises(StrengthOutOfRange) as err:
+                Typical(frame5.subset(["a"]), strength)
+            assert str(err.value) == ("strength must be strictly between 0 "
+                                      f"and 1, got {shown}")
 
     def test_statement_sets_must_be_non_empty_and_on_frame(
             self, frame4, frame5):
