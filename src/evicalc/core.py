@@ -39,8 +39,8 @@ MassLike = Fraction | int | str | float
 
 
 def _parse_mass(value: MassLike) -> Fraction:
-    """:func:`to_mass` without its sign test: the one parse of every number
-    evicalc reads, masses, sweep grid values and JSON number literals."""
+    """:func:`to_mass` without its sign test: the one parse of masses,
+    sweep grid values and JSON number literals."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -67,11 +67,14 @@ def _parse_mass(value: MassLike) -> Fraction:
 
 
 def to_mass(value: MassLike) -> Fraction:
-    """Convert a mass-like value to an exact nonnegative Fraction: strings
-    "3/5" or decimal ("0.99" is exactly 99/100; an exponent beyond
-    MAX_EXPONENT in magnitude is refused), ints, and floats through their
-    shortest repr (0.99 is 99/100 too).  NaN, the infinities and ``bool``,
-    although an ``int``, are rejected."""
+    """Convert a mass-like value to an exact nonnegative Fraction.
+
+    Strings may be fractions ("3/5") or decimal literals ("0.99", parsed
+    exactly to 99/100; an exponent beyond MAX_EXPONENT in magnitude is
+    refused).  Floats go through their shortest decimal repr, so a literal
+    like 0.99 also becomes exactly 99/100; NaN and the infinities are
+    rejected, and so is ``bool``, although it is an ``int``.
+    """
     mass = _parse_mass(value)
     if mass < 0:
         raise NegativeMass(f"mass {_num_text(mass)} is negative")
@@ -185,11 +188,10 @@ class Frame:
 
     def _table_atoms(self, work: str) -> int:
         """n, if ``work`` over the 2**n subsets is within MAX_TABLE_ATOMS."""
-        n = len(self.atoms)
-        if n > MAX_TABLE_ATOMS:
-            raise FrameTooLarge(
-                f"{work} needs at most {MAX_TABLE_ATOMS} atoms, got {n}")
-        return n
+        if len(self.atoms) > MAX_TABLE_ATOMS:
+            raise FrameTooLarge(f"{work} needs at most {MAX_TABLE_ATOMS} "
+                                f"atoms, got {len(self.atoms)}")
+        return len(self.atoms)
 
 
 @dataclass(frozen=True)

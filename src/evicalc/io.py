@@ -74,7 +74,7 @@ def structure_from_obj(obj: object) -> BeliefStructure:
         assignments.append((frame.subset(entry["set"]),
                             to_mass(entry["mass"])))
     m = BeliefStructure(frame, assignments, subnormal=subnormal)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     for _, mass in m.bit_items():  # each must print; their lcm need not
         den = mass.denominator  # a mass is at most 1: its longest part
         if limit and den.bit_length() > 3 * limit and den >= 10**limit:

@@ -190,7 +190,7 @@ def parse_kb(text: str) -> KnowledgeBase:
                                  f"({len(token)} characters)", **at) from None
             try:
                 statements.append(Typical(focal, strength))
-            except StrengthOutOfRange as exc:  # the message, placed
+            except StrengthOutOfRange as exc:  # Typical's text, placed
                 raise StrengthOutOfRange(str(exc), **at) from None
         else:
             if rest.strip():

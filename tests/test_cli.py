@@ -114,7 +114,8 @@ class TestQuery:
         assert "zebra" in err
 
 
-    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    @pytest.mark.parametrize("text", ["", " \n\t\n"],
+                             ids=["empty", "whitespace"])
     def test_empty_input_file_exits_1(self, capsys, tmp_path, text):
         path = tmp_path / "empty.kb"
         path.write_text(text)

@@ -231,7 +231,7 @@ class TestSweep:
                            "0.250000,1/4,0.500000,1/2,"),
         (F(1), F(1), "1.000000,1,1.000000,1,1.000000,1,0.000000,0,"
                      "0.000000,0,"),
-    ])
+    ], ids=["half", "total-conflict"])
     def test_subnormal_row_leaves_the_verdict_blank(self, alpha, beta, line):
         rows = sweep([alpha], [beta], disjoint=True, rule=UNNORMALIZED)
         assert rows[0].violation is None and not rows[0].infeasible
