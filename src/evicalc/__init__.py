@@ -40,15 +40,6 @@ from .entailment import (
     validate_witness,
     weaken_to,
 )
-from .monotonicity import (
-    MonotonicityReport,
-    SweepRow,
-    canonical_pair,
-    monotonic_step,
-    pairwise_survey,
-    sweep,
-    sweep_csv,
-)
 from .kb import (
     Absolute,
     KnowledgeBase,
@@ -81,3 +72,18 @@ __all__ = [
     "infer", "parse_kb", "query", "serialize_kb", "typical_summary",
     "errors", "io",
 ]
+
+# Served on first use (PEP 562): monotonicity's reports are dataclasses,
+# and importing dataclasses (with inspect, ast and dis) would be a large
+# share of the start-up of every command that needs no report.
+_MONOTONICITY = frozenset({
+    "MonotonicityReport", "SweepRow", "canonical_pair", "monotonic_step",
+    "pairwise_survey", "sweep", "sweep_csv",
+})
+
+
+def __getattr__(name: str):
+    if name in _MONOTONICITY:
+        from . import monotonicity
+        return getattr(monotonicity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

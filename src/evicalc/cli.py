@@ -19,7 +19,6 @@ from .core import BeliefStructure, FocalSet
 from .entailment import flow_entails, interval_contained, partition_entails
 from .errors import EvicalcError
 from .kb import KnowledgeBase, infer, parse_kb, typical_summary
-from .monotonicity import pairwise_survey, sweep, sweep_csv
 
 
 class _LoadFailure(Exception):
@@ -122,6 +121,10 @@ def _cmd_entails(args) -> int:
 
 
 def _cmd_monotone(args) -> int:
+    # Imported here and in _cmd_sweep only: monotonicity's reports are
+    # dataclasses, and the other commands start sooner without dataclasses.
+    from .monotonicity import pairwise_survey
+
     rules = [parse_rule(name) for name in args.rules.split(",")]
     m1 = _load(args.path1, io.loads_structure)
     m2 = _load(args.path2, io.loads_structure)
@@ -151,6 +154,8 @@ def _cmd_kb_query(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .monotonicity import sweep, sweep_csv
+
     rule = parse_rule(args.rule)
     alphas = [part.strip() for part in args.alphas.split(",")]
     betas = [part.strip() for part in args.betas.split(",")]

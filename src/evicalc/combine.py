@@ -27,24 +27,25 @@ element.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (ZERO, ONE, BeliefStructure, FocalSet, MassLike,
-                   _check_frame, _num_text, to_mass)
+                   _check_frame, _num_text, _Value, mass_str, to_mass)
 from .errors import EmptyTarget, SubnormalInput, TotalConflict
 
 
-@dataclass(frozen=True)
-class CombinationRule:
+class CombinationRule(_Value):
     """A tagged combination rule; ``param`` is the discount weight c."""
 
-    kind: str
-    param: Fraction | None = None
+    _fields = ("kind", "param")
+
+    def __init__(self, kind: str, param: Fraction | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
 
     def __str__(self) -> str:
         if self.kind == "discount":
-            return f"discount:{self.param}"
+            return f"discount:{mass_str(self.param)}"
         return self.kind
 
 

@@ -12,8 +12,8 @@ for a set against a frame or for a pair of structures, lives here too.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import add
@@ -26,6 +26,7 @@ from .errors import (
     NegativeMass,
     SubnormalInput,
     UnknownAtom,
+    _text,
 )
 
 MAX_FRAME_ATOMS = 24
@@ -81,11 +82,6 @@ def to_mass(value: MassLike) -> Fraction:
     return mass
 
 
-def _text(raw: str) -> str:
-    """``repr(raw)`` for an error message, or "<n characters>" past 99."""
-    return repr(raw) if len(raw) < 100 else f"<{len(raw)} characters>"
-
-
 def _num_text(value: Fraction) -> str:
     """``str(value)`` for an error message, with each part past 199 bits
     written "<d digits>": ``str`` refuses one past the digit limit."""
@@ -100,8 +96,20 @@ def _num_text(value: Fraction) -> str:
     return f"{part(value.numerator)}/{part(value.denominator)}"
 
 
+def _check_printable(value: Fraction) -> None:
+    """Refuse a number with a part longer than ``str`` may print (the
+    interpreter's int digit limit, which Python 3.10 does not have)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    longest = max(abs(value.numerator), value.denominator)
+    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
+        raise ValueError(f"mass {_num_text(value)} has more than {limit} "
+                         f"digits, too many to print")
+
+
 def mass_str(value: Fraction) -> str:
-    """Canonical reduced-fraction rendering ("3/5", "1", "0")."""
+    """Canonical reduced-fraction rendering ("3/5", "1", "0"); a value too
+    long to print raises ValueError, through :func:`_check_printable`."""
+    _check_printable(value)
     return str(value)
 
 
@@ -110,6 +118,48 @@ def decimal6(value: Fraction) -> str:
     scaled = round(value * 10**6)
     whole, frac = divmod(scaled, 10**6)
     return f"{whole}.{frac:06d}"
+
+
+class _Value:
+    """Base of the frozen value types, built without ``dataclasses``.
+
+    A subclass lists its fields in ``_fields``, in declaration order, and
+    its own ``__init__`` runs its checks and then sets each field with
+    ``object.__setattr__``.  The base gives what ``@dataclass(frozen=True)``
+    gave: ``==`` between instances of one class with equal fields, ``hash``
+    of the tuple of fields, a ``Name(field=value, ...)`` repr, and an
+    ``AttributeError`` on assignment or deletion.  Pickle and copy rebuild
+    an instance through ``__init__``, so its checks run again.  Nothing is
+    generated with ``exec``: defining a class costs what any class costs.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
 
 
 class Frame:
@@ -194,21 +244,26 @@ class Frame:
         return len(self.atoms)
 
 
-@dataclass(frozen=True)
-class FocalSet:
+class FocalSet(_Value):
     """A subset of one frame, as a bitmask.  Immutable and hashable."""
 
-    __slots__ = ("frame", "bits")
-    frame: Frame
-    bits: int
+    __slots__ = _fields = ("frame", "bits")
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> len(self.frame):
-            raise ValueError(
-                f"bitmask {self.bits:#x} out of range for {self.frame!r}")
+    def __init__(self, frame: Frame, bits: int):
+        if bits < 0 or bits >> len(frame):
+            raise ValueError(f"bitmask {bits:#x} out of range for {frame!r}")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "bits", bits)
 
-    def __reduce__(self):  # frozen slots cannot be restored by setattr
-        return FocalSet, (self.frame, self.bits)
+    # Written out for the hot value type: through the base's generic field
+    # tuple, a set or dict lookup costs several times as much.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FocalSet:
+            return NotImplemented
+        return (self.frame, self.bits) == (other.frame, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.frame, self.bits))
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -291,12 +346,14 @@ def _zeta(table: list[int], n: int) -> None:
                                             table[top - half:top])
 
 
-@dataclass(frozen=True)
-class ProbabilityInterval:
+class ProbabilityInterval(_Value):
     """The exact [belief, plausibility] bounds on the probability of a set."""
 
-    lower: Fraction
-    upper: Fraction
+    _fields = ("lower", "upper")
+
+    def __init__(self, lower: Fraction, upper: Fraction):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter((self.lower, self.upper))

@@ -28,7 +28,6 @@ consequence exhaustively.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -40,6 +39,7 @@ from .core import (
     _check_frame,
     _common_form,
     _num_text,
+    _Value,
     _zeta,
     to_mass,
 )
@@ -55,8 +55,7 @@ PARTITION_NODE_BUDGET = 1_000_000
 """Most placements :func:`partition_entails` tries before it gives up."""
 
 
-@dataclass(frozen=True)
-class EntailmentWitness:
+class EntailmentWitness(_Value):
     """Evidence that one structure entails another.
 
     ``triples`` lists (specific focal, general focal, transported mass) with
@@ -65,8 +64,12 @@ class EntailmentWitness:
     carrying its full mass.
     """
 
-    mode: str  # "partition" or "flow"
-    triples: tuple[tuple[FocalSet, FocalSet, Fraction], ...]
+    _fields = ("mode", "triples")
+
+    def __init__(self, mode: str,
+                 triples: tuple[tuple[FocalSet, FocalSet, Fraction], ...]):
+        object.__setattr__(self, "mode", mode)  # "partition" or "flow"
+        object.__setattr__(self, "triples", triples)
 
     @property
     def assignment(self) -> dict[FocalSet, FocalSet]:

@@ -10,6 +10,14 @@ from __future__ import annotations
 from functools import partial
 
 
+def _text(raw: object) -> str:
+    """``repr(raw)`` for an error message, or "<n characters>" for a string
+    past 99 characters, so that no message echoes outside text unbounded."""
+    if isinstance(raw, str) and len(raw) > 99:
+        return f"<{len(raw)} characters>"
+    return repr(raw)
+
+
 class EvicalcError(Exception):
     """Base class for all evicalc errors."""
 
@@ -97,7 +105,7 @@ class UnknownAtom(KbError):
     def __init__(self, name: str, *, line: int | None = None,
                  col: int | None = None):
         self.name = name
-        super().__init__(f"unknown atom {name!r}", line=line, col=col)
+        super().__init__(f"unknown atom {_text(name)}", line=line, col=col)
 
     def __reduce__(self):  # rebuilt from its parts, not from its message
         return partial(UnknownAtom, line=self.line, col=self.col), (self.name,)

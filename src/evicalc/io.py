@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from fractions import Fraction
 
 from .core import (
     BeliefStructure,
     FocalSet,
     Frame,
-    _num_text,
+    _check_printable,
     _parse_mass,
     decimal6,
     mass_str,
@@ -32,7 +31,6 @@ from .core import (
 )
 from .entailment import EntailmentWitness
 from .errors import EvicalcError
-from .monotonicity import MonotonicityReport
 
 
 def set_to_obj(focal: FocalSet) -> list[str]:
@@ -74,12 +72,8 @@ def structure_from_obj(obj: object) -> BeliefStructure:
         assignments.append((frame.subset(entry["set"]),
                             to_mass(entry["mass"])))
     m = BeliefStructure(frame, assignments, subnormal=subnormal)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     for _, mass in m.bit_items():  # each must print; their lcm need not
-        den = mass.denominator  # a mass is at most 1: its longest part
-        if limit and den.bit_length() > 3 * limit and den >= 10**limit:
-            raise ValueError(f"mass {_num_text(mass)} has more than {limit} "
-                             f"digits, too many to print")
+        _check_printable(mass)
     return m
 
 
@@ -111,7 +105,8 @@ def witness_to_obj(witness: EntailmentWitness) -> dict[str, object]:
     }
 
 
-def report_to_obj(report: MonotonicityReport) -> dict[str, object]:
+def report_to_obj(report) -> dict[str, object]:
+    """A :class:`evicalc.monotonicity.MonotonicityReport` as a JSON object."""
     def maybe_set(focal: FocalSet | None) -> list[str] | None:
         return None if focal is None else set_to_obj(focal)
 

@@ -27,12 +27,11 @@ per combination rule: :func:`infer`, :func:`query` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combine import DEMPSTER, CombinationRule, combine_all
 from .core import (BeliefStructure, FocalSet, Frame, ProbabilityInterval,
-                   ONE, _check_frame, _num_text, _text)
+                   ONE, _check_frame, _num_text, _Value)
 from .entailment import weaken_to
 from .errors import (
     MissingFrame,
@@ -41,58 +40,60 @@ from .errors import (
     TotalConflict,
     UnknownAtom,
     VariableMismatch,
+    _text,
 )
 
 
-@dataclass(frozen=True)
-class Absolute:
+class Absolute(_Value):
     """"V is A": the value certainly lies in the set."""
 
-    set: FocalSet
+    _fields = ("set",)
 
-    def __post_init__(self):
-        if self.set.is_empty:
+    def __init__(self, set: FocalSet):
+        if set.is_empty:
             raise ValueError("a statement set must be non-empty")
+        object.__setattr__(self, "set", set)
 
 
-@dataclass(frozen=True)
-class Typical:
+class Typical(_Value):
     """"typically V is B": mass ``strength`` on the set, rest anywhere."""
 
-    set: FocalSet
-    strength: Fraction
+    _fields = ("set", "strength")
 
-    def __post_init__(self):
-        if self.set.is_empty:
+    def __init__(self, set: FocalSet, strength: Fraction):
+        if set.is_empty:
             raise ValueError("a statement set must be non-empty")
-        if not 0 < self.strength < 1:
+        if not 0 < strength < 1:
             hint = ("; write an absolute statement instead"
-                    if self.strength == 1 else "")
+                    if strength == 1 else "")
             raise StrengthOutOfRange(
                 f"strength must be strictly between 0 and 1, got "
-                f"{_num_text(self.strength)}{hint}")
+                f"{_num_text(strength)}{hint}")
+        object.__setattr__(self, "set", set)
+        object.__setattr__(self, "strength", strength)
 
 
 Statement = Absolute | Typical
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(_Value):
     """An ordered list of statements about one variable over one frame.
 
     Each instance keeps its inferences by rule in ``_inferred``, which is
-    not a field: ``==``, ``hash`` and ``repr`` ignore it.
+    not a field: ``==``, ``hash``, ``repr`` and pickling ignore it.
     """
 
-    frame: Frame
-    variable: str
-    statements: tuple[Statement, ...]
+    _fields = ("frame", "variable", "statements")
 
-    def __post_init__(self):
-        if not self.statements:
+    def __init__(self, frame: Frame, variable: str,
+                 statements: tuple[Statement, ...]):
+        if not statements:
             raise ValueError("a knowledge base needs at least one statement")
-        for stmt in self.statements:
-            _check_frame(self.frame, stmt.set)
+        for stmt in statements:
+            _check_frame(frame, stmt.set)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "statements", statements)
         object.__setattr__(self, "_inferred", {})
 
 
@@ -195,7 +196,7 @@ def parse_kb(text: str) -> KnowledgeBase:
         else:
             if rest.strip():
                 raise ParseError(
-                    f"unexpected trailing text {rest.strip()!r}", **at)
+                    f"unexpected trailing text {_text(rest.strip())}", **at)
             statements.append(Absolute(focal))
     if frame is None:
         raise MissingFrame("no frame declaration found")

@@ -153,6 +153,10 @@ class TestLongNumbersInErrors:
             "frame: a, b\ntypically V is {a} strength 1%s\n" % ("0" * 4000),
             "StrengthOutOfRange: line 2, col 19: strength must be strictly "
             "between 0 and 1, got <4001 digits>", id="kb-strength"),
+        pytest.param(
+            "frame: a, b\nV is {a} %s\n" % ("x" * 6000),
+            "ParseError: line 2, col 9: unexpected trailing text <6000 "
+            "characters>", id="kb-trailing-text"),
     ])
     def test_structure_file_exits_1(self, capsys, tmp_path, document,
                                     message):
@@ -177,12 +181,39 @@ class TestLongNumbersInErrors:
              "--rule", "dempster"),
             "GridOutOfRange: grid value -1/<4300 digits> is outside [0, 1]",
             id="negative-grid-value"),
+        pytest.param(
+            ("query", DATA / "desk_a.bs", "--set", "y" * 6000),
+            "UnknownAtom: unknown atom <6000 characters>", id="long-atom"),
+        pytest.param(
+            ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+             "--rule", "discount:1e-4300"),
+            "mass 1/<4301 digits> has more than 4300 digits, too many to "
+            "print", id="unprintable-discount-weight"),
     ])
     def test_argument_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
         assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("command", [
+        ("combine", "--rule", "yager"), ("monotone", "--rules", "yager")])
+    def test_unprintable_result_exits_2(self, capsys, tmp_path, command):
+        # each input prints, but the product of their denominators has
+        # 4,794 digits: the result is refused as a loaded mass would be
+        frame = Frame(["a", "b"])
+        paths = []
+        for name, focal, mass in (("c1.bs", "a", Fraction(1, 2**8000)),
+                                  ("c2.bs", "b", Fraction(1, 3**5000))):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(io.dumps_structure(BeliefStructure(
+                frame, [(frame.subset([focal]), mass),
+                        (frame.full, 1 - mass)])))
+        code, out, err = run(capsys, command[0], *paths, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: mass 1/<4794 digits> has more than 4300 digits, too "
+            "many to print"]
 
 
 class TestCombine:
@@ -424,13 +455,42 @@ class TestImports:
                            "print('networkx' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
-        # without site, which may import them itself, typing and pathlib
-        # stay out too
+        # without site, which may import them itself, typing, pathlib and
+        # dataclasses (with inspect) stay out too, and so does monotonicity,
+        # whose reports are dataclasses
         done = self.python("import sys, evicalc.cli; print(sorted("
-                           "{'networkx', 'typing', 'pathlib'} "
+                           "{'networkx', 'typing', 'pathlib', 'dataclasses', "
+                           "'inspect', 'evicalc.monotonicity'} "
                            "& sys.modules.keys()))", flags=("-S",))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_monotonicity_loads_on_first_use(self):
+        done = self.python(
+            "import sys, evicalc; "
+            "before = 'evicalc.monotonicity' in sys.modules; "
+            "names = [evicalc.MonotonicityReport.__name__, "
+            "evicalc.sweep.__module__]; "
+            "print(before, names, 'evicalc.monotonicity' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ("False ['MonotonicityReport', "
+                               "'evicalc.monotonicity'] True\n")
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            evicalc.nothing
+        for golden, argv in (
+                ("survey_disjoint", ("monotone", DATA / "desk_a.bs",
+                                     DATA / "desk_b_disjoint.bs", "--rules",
+                                     "dempster,yager,dubois-prade,discount:"
+                                     "1/2,priority-first,priority-second,"
+                                     "unnormalized")),
+                ("sweep_dempster", ("sweep", "--alphas",
+                                    "1/10,3/10,5/10,7/10,9/10", "--betas",
+                                    "1/10,3/10,5/10,7/10,9/10", "--rule",
+                                    "dempster"))):
+            done = self.python("import runpy; runpy.run_module('evicalc', "
+                               "run_name='__main__')", *argv)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == (GOLDEN / f"{golden}.txt").read_text()
 
     def test_star_import_binds_every_public_name(self):
         namespace = {}

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from evicalc import Absolute, BeliefStructure, Frame, KnowledgeBase, \
-    ProbabilityInterval, combine, decimal6, flow_entails, mass_str, to_mass
+from evicalc import Absolute, BeliefStructure, CombinationRule, \
+    EntailmentWitness, FocalSet, Frame, KnowledgeBase, ProbabilityInterval, \
+    Typical, combine, decimal6, flow_entails, mass_str, to_mass
 from evicalc.core import _num_text
 from evicalc.errors import (
     EmptyFocalInNormal,
@@ -16,6 +17,7 @@ from evicalc.errors import (
     FrameTooLarge,
     MassSumNotOne,
     NegativeMass,
+    StrengthOutOfRange,
     SubnormalInput,
     UnknownAtom,
 )
@@ -315,6 +317,89 @@ class TestPickleAndCopy:
                                      (frame4.full, "3/4")], subnormal=True)
         for other in round_trips(m):
             assert other.is_subnormal
+
+
+FRAME = Frame("abcd")
+A, AB = FRAME.subset("a"), FRAME.subset("ab")
+
+# (type, fields by keyword in declaration order, the dataclass repr)
+VALUE_TYPES = [
+    pytest.param(FocalSet, {"frame": FRAME, "bits": 0b101},
+                 "FocalSet({a, c})", id="FocalSet"),
+    pytest.param(ProbabilityInterval, {"lower": F(1, 3), "upper": F(2, 3)},
+                 "ProbabilityInterval(1/3, 2/3)", id="ProbabilityInterval"),
+    pytest.param(CombinationRule, {"kind": "discount", "param": F(1, 2)},
+                 "CombinationRule(kind='discount', param=Fraction(1, 2))",
+                 id="CombinationRule"),
+    pytest.param(EntailmentWitness,
+                 {"mode": "flow", "triples": ((A, AB, F(1, 2)),)},
+                 "EntailmentWitness(mode='flow', triples=((FocalSet({a}), "
+                 "FocalSet({a, b}), Fraction(1, 2)),))",
+                 id="EntailmentWitness"),
+    pytest.param(Absolute, {"set": A}, "Absolute(set=FocalSet({a}))",
+                 id="Absolute"),
+    pytest.param(Typical, {"set": AB, "strength": F(9, 10)},
+                 "Typical(set=FocalSet({a, b}), strength=Fraction(9, 10))",
+                 id="Typical"),
+    pytest.param(KnowledgeBase,
+                 {"frame": FRAME, "variable": "V",
+                  "statements": (Absolute(AB), Typical(A, F(1, 2)))},
+                 "KnowledgeBase(frame=Frame(['a', 'b', 'c', 'd']), "
+                 "variable='V', statements=(Absolute(set=FocalSet({a, b})), "
+                 "Typical(set=FocalSet({a}), strength=Fraction(1, 2))))",
+                 id="KnowledgeBase"),
+]
+
+
+class TestValueTypes:
+    """The frozen value types keep what ``@dataclass(frozen=True)`` gave
+    them: keyword construction, ``repr``, ``==`` within one class, ``hash``
+    of the field tuple, pickle and deepcopy, and no assignment."""
+
+    @pytest.mark.parametrize("cls, fields, text", VALUE_TYPES)
+    def test_dataclass_behaviour(self, cls, fields, text):
+        value = cls(*fields.values())
+        assert cls(**fields) == value and not cls(**fields) != value
+        assert repr(value) == text
+        assert hash(value) == hash(tuple(fields.values()))
+        for stranger in (tuple(fields.values()), CombinationRule("yager"),
+                         FRAME.full, None):
+            assert not value == stranger and value != stranger
+        for other in (pickle.loads(pickle.dumps(value)),
+                      copy.deepcopy(value), copy.copy(value)):
+            assert type(other) is cls
+            assert other == value and hash(other) == hash(value)
+            assert repr(other) == text
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert [getattr(value, name) for name in fields] == \
+            list(fields.values())
+
+    def test_rule_parameter_defaults_to_none(self):
+        rule = CombinationRule("yager")
+        assert rule.param is None
+        assert rule == CombinationRule(kind="yager", param=None)
+        assert repr(rule) == "CombinationRule(kind='yager', param=None)"
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: FocalSet(FRAME, 1 << 4), ValueError, "out of range"),
+        (lambda: FocalSet(FRAME, -1), ValueError, "out of range"),
+        (lambda: Absolute(FRAME.empty), ValueError, "non-empty"),
+        (lambda: Typical(FRAME.empty, F(1, 2)), ValueError, "non-empty"),
+        (lambda: Typical(A, F(1)), StrengthOutOfRange, "absolute statement"),
+        (lambda: Typical(A, F(0)), StrengthOutOfRange, "strictly between"),
+        (lambda: KnowledgeBase(FRAME, "V", ()), ValueError,
+         "at least one statement"),
+        (lambda: KnowledgeBase(Frame("ab"), "V", (Absolute(A),)),
+         FrameMismatch, "frames differ"),
+    ], ids=["bits-high", "bits-negative", "absolute-empty", "typical-empty",
+            "strength-1", "strength-0", "kb-empty", "kb-frame"])
+    def test_constructor_checks(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
 
 
 def typical(frame, names, strength):
