@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .core import (ZERO, ONE, BeliefStructure, FocalSet, MassLike,
                    _check_frame, _num_text, _Value, mass_str, to_mass)
-from .errors import EmptyTarget, SubnormalInput, TotalConflict
+from .errors import EmptyTarget, SubnormalInput, TotalConflict, _text
 
 
 class CombinationRule(_Value):
@@ -78,7 +78,7 @@ def parse_rule(text: str) -> CombinationRule:
             return rule
     if name.startswith("discount:"):
         return discount(name.removeprefix("discount:"))
-    raise ValueError(f"unknown combination rule {text!r}")
+    raise ValueError(f"unknown combination rule {_text(text)}")
 
 
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:

@@ -183,7 +183,7 @@ class Frame:
             if not isinstance(name, str) or not name:
                 raise ValueError("atom names must be non-empty strings")
             if name in index:
-                raise ValueError(f"duplicate atom {name!r}")
+                raise ValueError(f"duplicate atom {_text(name)}")
             index[name] = i
         object.__setattr__(self, "atoms", names)
         object.__setattr__(self, "_index", index)
@@ -258,9 +258,9 @@ class FocalSet(_Value):
     # Written out for the hot value type: through the base's generic field
     # tuple, a set or dict lookup costs several times as much.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FocalSet:
-            return NotImplemented
-        return (self.frame, self.bits) == (other.frame, other.bits)
+        if other.__class__ is self.__class__:
+            return (self.frame, self.bits) == (other.frame, other.bits)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.frame, self.bits))

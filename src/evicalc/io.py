@@ -67,7 +67,8 @@ def structure_from_obj(obj: object) -> BeliefStructure:
         if not isinstance(entry, dict) or "set" not in entry \
                 or "mass" not in entry:
             raise ValueError('each mass entry needs "set" and "mass"')
-        if not isinstance(entry["set"], list):
+        if not isinstance(entry["set"], list) or not all(
+                isinstance(name, str) for name in entry["set"]):
             raise ValueError('"set" must be a list of atom names')
         assignments.append((frame.subset(entry["set"]),
                             to_mass(entry["mass"])))

@@ -112,7 +112,8 @@ def _parse_set(frame: Frame, body: str, line: int, col: int) -> FocalSet:
         for part in body.split(","):
             name = part.strip()
             if not re.fullmatch(_NAME, name):
-                raise ParseError(f"bad atom name {name!r}", line=line, col=col)
+                raise ParseError(f"bad atom name {_text(name)}", line=line,
+                                 col=col)
             names.append(name)
     if not names:
         raise ParseError("a statement set must name at least one atom",
@@ -165,8 +166,8 @@ def parse_kb(text: str) -> KnowledgeBase:
             variable = name
         elif name != variable:
             raise VariableMismatch(
-                f"statements must use one variable; saw {name!r} after "
-                f"{variable!r}", line=lineno,
+                f"statements must use one variable; saw {_text(name)} after "
+                f"{_text(variable)}", line=lineno,
                 col=indent + stmt.start("var"))
         focal = _parse_set(frame, stmt.group("set"), lineno,
                            indent + stmt.start("set"))

@@ -129,7 +129,8 @@ LONG = "1." + "0" * 4299 + "1"  # 1 + 10**-4300, beyond str()'s digit limit
 
 
 class TestLongNumbersInErrors:
-    """A number too long to print is named by its digit counts."""
+    """A number too long to print is named by its digit counts, and a long
+    input text by its length."""
 
     @pytest.mark.parametrize("document, message", [
         ('{"frame": ["a"], "masses": [{"set": ["a"], "mass": "1e-4300"}]}',
@@ -157,6 +158,24 @@ class TestLongNumbersInErrors:
             "frame: a, b\nV is {a} %s\n" % ("x" * 6000),
             "ParseError: line 2, col 9: unexpected trailing text <6000 "
             "characters>", id="kb-trailing-text"),
+        pytest.param(
+            "frame: a, b\nV is {a, b-%s}\n" % ("z" * 6000),
+            "ParseError: line 2, col 7: bad atom name <6002 characters>",
+            id="kb-bad-atom-name"),
+        pytest.param(
+            "frame: a, b\n%s is {a}\n%s is {b}\n" % ("V" * 5000, "W" * 6000),
+            "VariableMismatch: line 3, col 1: statements must use one "
+            "variable; saw <6000 characters> after <5000 characters>",
+            id="kb-variable"),
+        pytest.param(
+            "frame: a, %s, %s\nV is {a}\n" % ("z" * 6000, "z" * 6000),
+            "ParseError: line 1, col 1: duplicate atom <6000 characters>",
+            id="kb-duplicate-atom"),
+        # a JSON number is no atom name, so its 4,300 digits are not echoed
+        pytest.param(
+            '{"frame": ["a"], "masses": [{"set": [1e-4299], "mass": "1"}]}',
+            'ValueError: "set" must be a list of atom names',
+            id="number-as-atom"),
     ])
     def test_structure_file_exits_1(self, capsys, tmp_path, document,
                                     message):
@@ -184,6 +203,10 @@ class TestLongNumbersInErrors:
         pytest.param(
             ("query", DATA / "desk_a.bs", "--set", "y" * 6000),
             "UnknownAtom: unknown atom <6000 characters>", id="long-atom"),
+        pytest.param(
+            ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+             "--rule", "r" * 6000),
+            "unknown combination rule <6000 characters>", id="long-rule"),
         pytest.param(
             ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
              "--rule", "discount:1e-4300"),
