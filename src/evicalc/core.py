@@ -126,7 +126,7 @@ class _Value:
     A subclass lists its fields in ``_fields``, in declaration order, and
     its own ``__init__`` runs its checks and then sets each field with
     ``object.__setattr__``.  The base gives what ``@dataclass(frozen=True)``
-    gave: ``==`` between instances of one class with equal fields, ``hash``
+    gives: ``==`` between instances of one class with equal fields, ``hash``
     of the tuple of fields, a ``Name(field=value, ...)`` repr, and an
     ``AttributeError`` on assignment or deletion.  Pickle and copy rebuild
     an instance through ``__init__``, so its checks run again.  Nothing is
