@@ -320,7 +320,18 @@ def _check_frame(frame: Frame, value, kind: type = FocalSet) -> None:
     if not isinstance(value, kind):
         raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
     if value.frame != frame:
-        raise FrameMismatch(f"frames differ: {frame!r} vs {value.frame!r}")
+        raise FrameMismatch(f"frames differ: {_frame_text(frame)} vs "
+                            f"{_frame_text(value.frame)}")
+
+
+def _frame_text(frame: Frame) -> str:
+    """``repr(frame)`` for an error message, or "<frame of n atoms, c
+    characters>" for one past 99 characters, as ``errors._text`` names a
+    long text by its length."""
+    text = repr(frame)
+    if len(text) > 99:
+        return f"<frame of {len(frame)} atoms, {len(text)} characters>"
+    return text
 
 
 def _zeta(table: list[int], n: int) -> None:
@@ -359,7 +370,8 @@ class ProbabilityInterval(_Value):
         return iter((self.lower, self.upper))
 
     def __repr__(self) -> str:
-        return f"ProbabilityInterval({self.lower}, {self.upper})"
+        return (f"ProbabilityInterval({_num_text(self.lower)}, "
+                f"{_num_text(self.upper)})")
 
 
 class BeliefStructure:
@@ -468,7 +480,8 @@ class BeliefStructure:
     __hash__ = None  # mutable-looking container API; not hashable
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f.label()}: {m}" for f, m in self.items())
+        body = ", ".join(f"{f.label()}: {_num_text(m)}"
+                         for f, m in self.items())
         return f"BeliefStructure({{{body}}})"
 
     def bel(self, focal: FocalSet) -> Fraction:

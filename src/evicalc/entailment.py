@@ -182,11 +182,16 @@ def _max_flow(cap: dict[int, dict[int, int]], source: int, sink: int) -> None:
         path = [sink]
         while path[-1] != source:
             path.append(prev[path[-1]])
-        edges = list(zip(path[1:], path))
-        delta = min(cap[u][v] for u, v in edges)
-        for u, v in edges:
-            cap[u][v] -= delta
-            cap[v][u] = cap[v].get(u, 0) + delta
+        _augment(cap, path, min(cap[u][v] for u, v in zip(path[1:], path)))
+
+
+def _augment(cap: dict[int, dict[int, int]], path: list[int],
+             delta: int) -> None:
+    """Send ``delta`` along ``path``, given from the sink back to the
+    source, edge by edge in that order."""
+    for u, v in zip(path[1:], path):
+        cap[u][v] -= delta
+        cap[v][u] = cap[v].get(u, 0) + delta
 
 
 def flow_entails(m1: BeliefStructure,
@@ -204,6 +209,20 @@ def flow_entails(m1: BeliefStructure,
     A one-row Hall bound comes first: a row whose supply exceeds the total
     demand of the columns containing it cannot be transported, so the
     answer is None without a max-flow (and the same as the max-flow's).
+
+    Edmonds-Karp's first phase, the paths source -> row -> column -> sink,
+    then runs in one pass with no search: rows in bitmask order, each
+    feeding its columns in order with the least of the supply and demand
+    left, ``cap`` updated edge by edge as :func:`_augment` does.  This is
+    the path sequence the search itself would take.  Its breadth-first
+    search pops every row before any column, so while a path of three
+    edges exists it takes the first row with supply left and that row's
+    first column with demand left; such a path uses forward edges only,
+    so a row or column it drains never gets room back in this phase.
+    Shortest-path lengths never fall under Edmonds-Karp, so no path of
+    three edges comes back later, and the max-flow that finishes the
+    transport finds every dict with the same keys in the same order.  The
+    witness is therefore the plain max-flow's, not just a valid one.
     """
     specific, general, scale, adj = _transport_problem(m1, m2)
     if any(w > sum(general[j][1] for j in adj[i])
@@ -213,6 +232,14 @@ def flow_entails(m1: BeliefStructure,
     cap = {source: {i: w for i, (_, w) in enumerate(specific)}, sink: {}}
     cap.update((i, {rows + j: scale for j in adj[i]}) for i in range(rows))
     cap.update((rows + j, {sink: w}) for j, (_, w) in enumerate(general))
+    supply = cap[source]
+    for i in range(rows):
+        for col in (rows + j for j in adj[i]):
+            delta = min(supply[i], cap[col][sink])
+            if delta:
+                _augment(cap, [sink, col, i, source], delta)
+            if not supply[i]:
+                break
     _max_flow(cap, source, sink)
     if sum(cap[sink].values()) != scale:
         return None
@@ -228,31 +255,57 @@ def interval_contained(
         m2: BeliefStructure) -> tuple[bool, FocalSet | None]:
     """Check [bel1, pl1] <= [bel2, pl2] containment on every subset.
 
-    Exhaustive over all 2**n subsets in one pass: a single integer zeta
-    transform (:func:`core._zeta`) of the signed difference m1 - m2 of the
-    non-empty masses, both scaled by the lcm of their denominators, gives
-    d(S) = (bel1(S) - bel2(S)) * scale, and d(X) = (tot1 - tot2) * scale
-    for the non-empty totals.  Since pl(S) = tot - bel(X - S), also for
-    subnormal structures, S violates containment exactly when d(S) < 0
-    (bel2 above bel1) or d(X - S) < d(X) (pl1 above pl2).  Returns (True,
-    None) on success, else (False, first violating subset in bitmask order).
+    Exhaustive over all 2**n subsets: an integer zeta transform
+    (:func:`core._zeta`) of the signed difference m1 - m2 of the non-empty
+    masses, both scaled by the lcm of their denominators, gives d(S) =
+    (bel1(S) - bel2(S)) * scale, and d(X) = (tot1 - tot2) * scale for the
+    non-empty totals.  Since pl(S) = tot - bel(X - S), also for subnormal
+    structures, S violates containment exactly when d(S) < 0 (bel2 above
+    bel1) or d(X - S) < d(X) (pl1 above pl2).  Returns (True, None) on
+    success, else (False, first violating subset in bitmask order).
+
+    The masks S <= low = 2**k - 1, k = n // 2, come first, on two tables of
+    2**k entries: ``inner`` holds the differences on the focal elements
+    inside low, and ``outer`` every non-empty difference at its bits & low.
+    After a k-bit transform of each, inner[S] is d(S), outer[low ^ S] is
+    d(X - S) (a focal element misses S just when its low bits do) and
+    outer[low] is d(X).  A violator there is the first one.  Otherwise one
+    transform of all 2**n masks decides the rest.
     """
     first, second, _ = _common_form(m1, m2)
     n = m1.frame._table_atoms("exhaustive interval check")
-    diff = [0] * (1 << n)
-    for focals, sign in ((first, 1), (second, -1)):
-        for bits, w in focals:
-            diff[bits] += sign * w
-    diff[0] = 0  # empty-set mass counts toward neither bel nor pl
-    _zeta(diff, n)
-    gap = diff[-1]
-    if min(diff) >= max(gap, 0):
-        return True, None
-    # diff[full ^ mask] is diff[full - mask], the reversed list at mask
-    mask = next(mask for mask, (low, high)
-                in enumerate(zip(diff, reversed(diff)))
-                if low < 0 or high < gap)
+    # empty-set mass counts toward neither bel nor pl
+    signed = [(bits, w) for bits, w in first if bits]
+    signed += [(bits, -w) for bits, w in second if bits]
+    k = n // 2
+    low = (1 << k) - 1
+    inner, outer = [0] * (low + 1), [0] * (low + 1)
+    for bits, w in signed:
+        outer[bits & low] += w
+        if bits <= low:
+            inner[bits] += w
+    _zeta(inner, k)
+    _zeta(outer, k)
+    gap = outer[low]
+    mask = _first_violator(inner, outer, gap)
+    if mask is None:
+        diff = [0] * (1 << n)
+        for bits, w in signed:
+            diff[bits] += w
+        _zeta(diff, n)
+        if min(diff) >= max(gap, 0):
+            return True, None
+        mask = _first_violator(diff, diff, gap)
     return False, m1.frame.from_bits(mask)
+
+
+def _first_violator(below: list[int], above: list[int],
+                    gap: int) -> int | None:
+    """The first mask S with below[S] < 0 or above[last ^ S] < gap, if
+    any; above[last ^ S] is above[last - S], the reversed list at S."""
+    return next((mask for mask, (inside, rest)
+                 in enumerate(zip(below, reversed(above)))
+                 if inside < 0 or rest < gap), None)
 
 
 def weaken_to(m: BeliefStructure, target: FocalSet) -> BeliefStructure:

@@ -8,6 +8,7 @@ against a second, separately written path.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -323,6 +324,53 @@ def oracle_flow_entails(m1: BeliefStructure, m2: BeliefStructure) -> bool:
         if supply > reach:
             return False
     return True
+
+
+def oracle_flow_witness(m1: BeliefStructure, m2: BeliefStructure):
+    """The flow witness triples of plain Edmonds-Karp, or None: every
+    augmenting path a shortest one, found breadth-first from the source.
+    Rows are m1's focal elements and columns m2's, both in bitmask order,
+    with supplies and demands the masses times the lcm of their
+    denominators and row-to-column capacity that lcm; a node's neighbours
+    are scanned in the order their edges were made, and the search stops
+    at the first node found with room to the sink."""
+    specific, general = list(m1.items()), list(m2.items())
+    scale = lcm(*(w.denominator for _, w in specific + general))
+    rows, source, sink = len(specific), "source", "sink"
+    cap: dict = {source: {}, sink: {}}
+    for i, (a, w) in enumerate(specific):
+        cap[source][i] = int(w * scale)
+        cap[i] = {rows + j: scale for j, (b, _) in enumerate(general)
+                  if a.bits & b.bits == a.bits}
+    for j, (_, w) in enumerate(general):
+        cap[rows + j] = {sink: int(w * scale)}
+    while True:
+        prev, queue = {source: source}, deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v, room in cap[u].items():
+                if room and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+                    if cap[v].get(sink):
+                        prev[sink] = v
+                        break
+        if sink not in prev:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(prev[path[-1]])
+        edges = list(zip(path[1:], path))
+        delta = min(cap[u][v] for u, v in edges)
+        for u, v in edges:
+            cap[u][v] -= delta
+            cap[v][u] = cap[v].get(u, 0) + delta
+    if sum(cap[sink].values()) != scale:
+        return None
+    return tuple((a, b, Fraction(cap[rows + j][i], scale))
+                 for i, (a, _) in enumerate(specific)
+                 for j, (b, _) in enumerate(general)
+                 if cap[rows + j].get(i))
 
 
 def oracle_partition(m1: BeliefStructure,

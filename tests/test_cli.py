@@ -239,6 +239,22 @@ class TestLongNumbersInErrors:
             "many to print"]
 
 
+    def test_frames_of_long_atoms_exit_2(self, capsys, tmp_path):
+        # both frames in full would make a 12,072-byte line
+        shared, first, second = ("x" * 3000, "y" * 3000, "z" * 3000)
+        paths = []
+        for name, atoms in (("f1.bs", [shared, first]),
+                            ("f2.bs", [shared, second])):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(io.dumps_structure(
+                BeliefStructure.vacuous(Frame(atoms))))
+        code, out, err = run(capsys, "combine", *paths, "--rule", "dempster")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: FrameMismatch: frames differ: <frame of 2 atoms, 6015 "
+            "characters> vs <frame of 2 atoms, 6015 characters>"]
+
+
 class TestCombine:
     def test_total_conflict_exits_2(self, capsys):
         code, _, err = run(capsys, "combine", DATA / "point_a.bs",

@@ -474,6 +474,18 @@ class TestBelPl:
         with pytest.raises(FrameMismatch):
             m.bel(frame5.full)
 
+    def test_repr_of_a_mass_too_long_to_print(self, frame4):
+        tiny = F(1, 10**4300)
+        m = BeliefStructure(frame4, [(frame4.subset("a"), tiny),
+                                     (frame4.full, 1 - tiny)])
+        assert repr(m) == ("BeliefStructure({{a}: 1/<4301 digits>, "
+                           "{a, b, c, d}: <4300 digits>/<4301 digits>})")
+        assert repr(m.interval(frame4.subset("ab"))) == (
+            "ProbabilityInterval(1/<4301 digits>, 1)")
+        short = BeliefStructure(frame4, [(frame4.subset("a"), F(1, 3)),
+                                         (frame4.full, F(2, 3))])
+        assert repr(short) == "BeliefStructure({{a}: 1/3, {a, b, c, d}: 2/3})"
+
 
 class TestIsBayesian:
     def test_examples(self, frame4):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evicalc import (
+    CELL_ROUTING_RULES,
     DEMPSTER,
     DUBOIS_PRADE,
     UNNORMALIZED,
@@ -14,6 +15,7 @@ from evicalc import (
     BeliefStructure,
     Frame,
     combine,
+    discount,
     flow_entails,
     hedge,
     interval_contained,
@@ -38,6 +40,7 @@ from oracles import (
     entailing_pair,
     naive_bel,
     oracle_flow_entails,
+    oracle_flow_witness,
     oracle_interval_contained,
     oracle_partition,
     overlapping_pair,
@@ -325,6 +328,81 @@ class TestFlowOracle:
             assert keys == sorted(keys)
 
 
+SURVEY_RULES = (*CELL_ROUTING_RULES, discount("1/2"))
+
+
+def survey_structure(rng, frame, focals=12):
+    masks = rng.sample(range(1, 1 << len(frame)), focals)
+    weights = [rng.randint(1, 9) for _ in masks]
+    return BeliefStructure(frame, [(frame.from_bits(bits), F(w, sum(weights)))
+                                   for bits, w in zip(masks, weights)])
+
+
+class TestFlowWitnessEquality:
+    """The direct phase before the max-flow leaves every witness exactly
+    the one plain Edmonds-Karp finds (oracles.oracle_flow_witness)."""
+
+    KINDS = ["survey-conflict", "survey-overlap", "coarsening", "reversed",
+             "random", "subnormal"]
+
+    @staticmethod
+    def pairs(rng, kind):
+        if kind.startswith("survey"):
+            frame = Frame("abcdefghij")
+            if kind == "survey-overlap":
+                first, second = overlapping_pair(rng, frame, 12)
+            else:
+                first, second = (survey_structure(rng, frame)
+                                 for _ in range(2))
+            rule = rng.choice(SURVEY_RULES)
+            try:
+                combined = combine(first, second, rule)
+            except TotalConflict:
+                return []
+            return [(combined, first), (combined, second)]
+        frame = random_frame(rng, 2, 7)
+        if kind == "coarsening":
+            return [entailing_pair(rng, frame, 6)]
+        if kind == "reversed":
+            return [entailing_pair(rng, frame, 6)[::-1]]
+        if kind == "random":
+            return [(random_structure(rng, frame, 10),
+                     random_structure(rng, frame, 10))]
+        first, second = (random_structure(rng, frame, 6) for _ in range(2))
+        specific = combine(first, second, UNNORMALIZED)
+        return [(specific, first), (specific, second), (specific, specific),
+                (specific, random_structure(rng, frame, 6))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
+    def test_identical_triples(self, rng, kind):
+        for specific, general in self.pairs(rng, kind):
+            witness = flow_entails(specific, general)
+            expected = oracle_flow_witness(specific, general)
+            assert (None if witness is None else witness.triples) == expected
+            if kind == "coarsening":
+                assert witness is not None
+
+    def test_survey_pairs_entail_and_refute(self):
+        rng = random.Random(1414)
+        frame = Frame("abcdefghij")
+        verdicts = set()
+        for _ in range(6):
+            first, second = (survey_structure(rng, frame) for _ in range(2))
+            for rule in SURVEY_RULES:
+                try:
+                    combined = combine(first, second, rule)
+                except TotalConflict:
+                    continue
+                for general in (first, second):
+                    witness = flow_entails(combined, general)
+                    expected = oracle_flow_witness(combined, general)
+                    assert (None if witness is None
+                            else witness.triples) == expected
+                    verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+
 def unreachable_row(specific, general) -> bool:
     """Whether some focal element of ``specific`` outweighs all the focal
     elements of ``general`` that contain it (a one-row Hall violation)."""
@@ -428,6 +506,26 @@ class TestIntervalContained:
             interval_contained(vac, vac)
 
 
+def checked_interval(m1, m2):
+    """interval_contained(m1, m2), checked against the oracle and against
+    the tables it transformed: two of 2**(n // 2) entries, then all 2**n
+    masks unless the first violator lies within the first table."""
+    lengths, real = [], entailment._zeta
+
+    def spy(table, n):
+        lengths.append(len(table))
+        real(table, n)
+
+    with mock.patch.object(entailment, "_zeta", side_effect=spy):
+        result = interval_contained(m1, m2)
+    assert result == oracle_interval_contained(m1, m2)
+    n = len(m1.frame)
+    low = (1 << n // 2) - 1
+    prefix = result[1] is not None and result[1].bits <= low
+    assert lengths == [low + 1] * 2 + ([] if prefix else [1 << n])
+    return result
+
+
 class TestIntervalOracle:
     """The signed integer transform against naive bel/pl enumeration."""
 
@@ -465,8 +563,7 @@ class TestIntervalOracle:
     @given(st.randoms(use_true_random=False), st.sampled_from(KINDS))
     def test_verdict_and_first_violator(self, rng, kind):
         m1, m2 = self.pair(rng, kind)
-        result = interval_contained(m1, m2)
-        assert result == oracle_interval_contained(m1, m2)
+        result = checked_interval(m1, m2)
         if kind == "entailing":
             assert result == (True, None)
         for m in (m1, m2):
@@ -474,6 +571,65 @@ class TestIntervalOracle:
             assert len(table) == 1 << len(m.frame)
             for bits, value in enumerate(table):
                 assert value == naive_bel(m, bits)
+
+
+class TestIntervalLowHalf:
+    """The masks up to low = 2**(n // 2) - 1 are decided on two small
+    tables; only a pair with no violator there runs the dense transform."""
+
+    @pytest.mark.parametrize("atoms", ["abcd", "abcde"])
+    def test_violator_inside_the_prefix(self, atoms):
+        frame = Frame(atoms)
+        a = frame.subset("a")
+        m1 = BeliefStructure(frame, [(a, F(1, 2)), (frame.full, F(1, 2))])
+        # bel2({a}) above bel1({a})
+        m2 = BeliefStructure(frame, [(a, 1)])
+        assert checked_interval(m1, m2) == (False, a)
+        # pl1({a}) above pl2({a}): found through the folded outer table
+        m2 = BeliefStructure(frame, [(frame.subset("cd"), 1)])
+        assert checked_interval(m1, m2) == (False, a)
+
+    @pytest.mark.parametrize("atoms", ["abcd", "abcde"])
+    def test_violator_just_past_the_prefix(self, atoms):
+        frame = Frame(atoms)
+        c = frame.subset("c")  # mask 4 = low + 1
+        m1 = BeliefStructure(frame, [(frame.subset("cd"), F(1, 2)),
+                                     (frame.full, F(1, 2))])
+        m2 = BeliefStructure(frame, [(c, F(1, 2)), (frame.full, F(1, 2))])
+        assert checked_interval(m1, m2) == (False, c)
+        # the complement side: pl1({c}) above pl2({c})
+        m3 = BeliefStructure(frame, [(frame.subset("ab"), F(1, 2)),
+                                     (frame.full, F(1, 2))])
+        m4 = BeliefStructure(frame, [(frame.subset("ab"), F(1, 2)),
+                                     (frame.subset("abd"), F(1, 2))])
+        assert checked_interval(m3, m4) == (False, c)
+
+    def test_no_violator(self, desk):
+        _, _, _, m1, _, m2o = desk
+        assert checked_interval(m1, m1) == (True, None)
+        combined = combine(m1, m2o, DEMPSTER)
+        assert checked_interval(combined, m2o) == (True, None)
+
+    def test_one_atom(self):
+        frame = Frame("a")
+        vacuous = BeliefStructure.vacuous(frame)
+        lost = BeliefStructure(frame, [(frame.empty, F(1, 2)),
+                                       (frame.full, F(1, 2))], subnormal=True)
+        assert checked_interval(vacuous, vacuous) == (True, None)
+        assert checked_interval(lost, vacuous) == (False, frame.full)
+        assert checked_interval(vacuous, lost) == (False, frame.full)
+
+    def test_twenty_atoms_with_a_tiny_mass(self):
+        # a 1,300-bit denominator: the dense table would hold 2**20 such
+        # numbers; the violator, pl1({a}) above pl2({a}), is at mask 1
+        frame = Frame([f"x{i}" for i in range(20)])
+        tiny = F(1, 3**820)
+        assert tiny.denominator.bit_length() == 1300
+        high = frame.from_bits(1 << 10)
+        m1 = BeliefStructure(frame, [(frame.from_bits(1), tiny),
+                                     (high, 1 - tiny)])
+        m2 = BeliefStructure(frame, [(high, 1)])
+        assert checked_interval(m1, m2) == (False, frame.from_bits(1))
 
 
 class TestWeaken:
