@@ -83,9 +83,10 @@ def _cmd_combine(args) -> int:
         head = f"rule: {rule}\nconflict: {io.format_mass(conflict)}\n"
     else:
         result, head = combine_all(structures, rule), f"rule: {rule}\n"
-    sys.stdout.write(head + io.format_structure(result))
-    if args.out:
+    answer = head + io.format_structure(result)
+    if args.out:  # written first: a failing write leaves stdout empty
         _write(args.out, io.dumps_structure(result))
+    sys.stdout.write(answer)
     return 0
 
 
@@ -143,9 +144,10 @@ def _cmd_kb_infer(args) -> int:
         result = typical_summary(kb, rule, target)
     else:
         result = infer(kb, rule)
-    sys.stdout.write(head + io.format_structure(result))
-    if args.out:
+    answer = head + io.format_structure(result)
+    if args.out:  # written first: a failing write leaves stdout empty
         _write(args.out, io.dumps_structure(result))
+    sys.stdout.write(answer)
     return 0
 
 

@@ -19,9 +19,9 @@ mixture c*m1 + (1-c)*m2.
 The table is never built cell by cell.  A structure stores its integer form
 (bitmask -> numerator over one common denominator), and one product pass,
 :func:`_product`, over two stored forms yields the routed numerators and the
-conflict K together; :func:`conflict_mass` reads K from the same pass.  The
-result is built from the numerators in integers, with no Fraction per focal
-element.
+conflict K together; :func:`conflict_mass`, for a caller that needs only K,
+runs a pass of its own (Dempster's) and keeps only its K.  The result is
+built from the numerators in integers, with no Fraction per focal element.
 """
 
 from __future__ import annotations

@@ -131,6 +131,11 @@ class _Value:
     ``AttributeError`` on assignment or deletion.  Pickle and copy rebuild
     an instance through ``__init__``, so its checks run again.  Nothing is
     generated with ``exec``: defining a class costs what any class costs.
+
+    Every value type but monotonicity's reports derives from it.  Besides
+    some reprs, the overrides that remain are ``Frame.__eq__``, which tests
+    identity first on the hot path, and ``BeliefStructure``'s
+    ``__reduce__``, through the integer form, and ``__hash__ = None``.
     """
 
     __slots__ = ()
@@ -162,14 +167,15 @@ class _Value:
         return type(self), self._astuple()
 
 
-class Frame:
-    """An ordered universe of distinct atom names.
+class Frame(_Value):
+    """An ordered universe of distinct printable atom names.
 
     The atom order is canonical: atom i owns bit i of every focal-set
     bitmask, which makes serialization and display byte-stable.
     """
 
-    __slots__ = ("atoms", "_index", "_hash")
+    __slots__ = ("atoms", "_index")
+    _fields = ("atoms",)
 
     def __init__(self, atoms: Iterable[str]):
         names = tuple(atoms)
@@ -182,28 +188,22 @@ class Frame:
         for i, name in enumerate(names):
             if not isinstance(name, str) or not name:
                 raise ValueError("atom names must be non-empty strings")
+            if not name.isprintable():
+                raise ValueError(f"atom name {_text(name)} is not printable")
             if name in index:
                 raise ValueError(f"duplicate atom {_text(name)}")
             index[name] = i
         object.__setattr__(self, "atoms", names)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_hash", hash(names))
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("Frame is immutable")
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__
-        return Frame, (self.atoms,)
 
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # identity first: the hot path
         return self is other or (isinstance(other, Frame)
                                  and self.atoms == other.atoms)
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _Value.__hash__
 
     def __repr__(self) -> str:
         return f"Frame({list(self.atoms)!r})"
@@ -254,16 +254,6 @@ class FocalSet(_Value):
             raise ValueError(f"bitmask {bits:#x} out of range for {frame!r}")
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "bits", bits)
-
-    # Written out for the hot value type: through the base's generic field
-    # tuple, a set or dict lookup costs several times as much.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.frame, self.bits) == (other.frame, other.bits)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.frame, self.bits))
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -374,7 +364,7 @@ class ProbabilityInterval(_Value):
                 f"{_num_text(self.upper)})")
 
 
-class BeliefStructure:
+class BeliefStructure(_Value):
     """A map from distinct focal sets to positive masses summing to 1.
 
     Duplicate sets in the input are merged by mass addition and zero-mass
@@ -384,10 +374,11 @@ class BeliefStructure:
 
     Masses are stored as ``_nums``, positive numerators by focal bitmask in
     bitmask order, over ``_den``, the lcm of the reduced denominators: a
-    canonical form.  Instances are immutable; all queries are pure functions.
+    canonical form, so ``==`` compares the fields.  Instances are immutable;
+    all queries are pure functions.
     """
 
-    __slots__ = ("frame", "_nums", "_den")
+    __slots__ = _fields = ("frame", "_nums", "_den")
 
     def __init__(self, frame: Frame,
                  assignments: Iterable[tuple[FocalSet, MassLike]] |
@@ -436,9 +427,6 @@ class BeliefStructure:
         object.__setattr__(self, "_den", den)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BeliefStructure is immutable")
-
     def __reduce__(self):  # rebuilt from the integer form, with its checks
         return (BeliefStructure._from_form,
                 (self.frame, self._nums, self._den, self.is_subnormal))
@@ -471,11 +459,6 @@ class BeliefStructure:
 
     def __len__(self) -> int:
         return len(self._nums)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BeliefStructure)
-                and self.frame == other.frame
-                and self._nums == other._nums)  # the numerators sum to _den
 
     __hash__ = None  # mutable-looking container API; not hashable
 

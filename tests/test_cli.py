@@ -3,10 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evicalc
 from evicalc import BeliefStructure, Frame, entailment, io
@@ -66,6 +71,25 @@ class TestValidate:
         assert done.stderr.splitlines() == [
             f"error: {path}: ValueError: mass '1e-100000000' has an exponent"
             " beyond 4300 in magnitude"]
+
+    @pytest.mark.parametrize("atom, shown", [
+        # printed as is, the name would forge a mass line of its own
+        ("a\nm({z}) = 1 ~ 1.000000", r"'a\nm({z}) = 1 ~ 1.000000'"),
+        # a lone surrogate cannot be written as UTF-8
+        ("\ud800", r"'\ud800'")], ids=["line-break", "surrogate"])
+    @pytest.mark.parametrize("command", [("validate",),
+                                         ("query", "--set", "b")])
+    def test_unprintable_atom_name_exits_1(self, capsys, tmp_path, atom,
+                                           shown, command):
+        path = tmp_path / "atoms.bs"
+        path.write_text(json.dumps(
+            {"frame": [atom, "b"],
+             "masses": [{"set": [atom], "mass": "1/2"},
+                        {"set": ["b"], "mass": "1/2"}]}))
+        code, out, err = run(capsys, command[0], path, *command[1:])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: ValueError: atom name {shown} is not printable"]
 
     def test_file_that_is_not_utf8_names_the_path(self, tmp_path):
         bad = tmp_path / "bad.bs"
@@ -306,8 +330,8 @@ class TestCombine:
         ("sweep", "--alphas", "1/2", "--betas", "1/2", "--rule", "yager")])
     def test_unwritable_output_exits_1(self, capsys, tmp_path, argv):
         path = tmp_path / "missing" / "out"
-        code, _, err = run(capsys, *argv, "-o", path)
-        assert code == 1
+        code, out, err = run(capsys, *argv, "-o", path)
+        assert (code, out) == (1, "")  # the answer is written after the file
         assert err.splitlines() == [
             f"error: {path}: FileNotFoundError: [Errno 2] No such file or "
             f"directory: '{path}'"]
@@ -570,3 +594,130 @@ class TestBrokenPipe:
         assert "Traceback" not in err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+# Junk for the fuzz: atom names with control characters, a line break, a
+# lone surrogate and a long name; masses that are negative, unparsable,
+# not strings, or too long to print.
+ATOM_NAMES = st.one_of(
+    st.sampled_from("abcde"),
+    st.sampled_from(["", " ", "a b", "\t", "\x00", "\ud800", "\u200b",
+                     "a\nm({z}) = 1 ~ 1.000000", "y" * 120]),
+    st.text(max_size=4))
+MASS_TEXTS = st.one_of(
+    st.sampled_from(["1", "1/2", "1/3", "2/3", "0", "0.5", "-1/2", "1/0",
+                     "x", "", "1e-4300", "1e-100000000", "nan", "inf"]),
+    st.fractions(0, 1, max_denominator=12).map(str))
+MASSES = st.one_of(MASS_TEXTS, st.integers(-1, 2), st.booleans(), st.none(),
+                   st.just([]))
+SET_VALUES = st.lists(ATOM_NAMES, max_size=3).map(",".join)
+RULES = st.sampled_from(["dempster", "yager", "dubois-prade", "unnormalized",
+                         "priority-first", "priority-second", "discount:1/2"])
+BAD_RULES = st.one_of(st.sampled_from(["discount:", "discount:3/2",
+                                       "discount:x", "discount:1e-4300",
+                                       "median", ""]),
+                      st.text(max_size=8))
+
+
+def mostly(draw, good, bad):
+    """A draw from ``good`` three times in four, else from ``bad``."""
+    return draw(bad if draw(st.integers(0, 3)) == 0 else good)
+
+
+@st.composite
+def structure_texts(draw):
+    """A belief-structure document on a frame of 1 to 5 atoms; most are
+    well formed, the rest carry junk names or masses."""
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 3)):  # three in four, as in mostly()
+        atoms = list("abcde"[:n])
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1,
+                              max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(masks),
+                                max_size=len(masks)))
+        masses = [{"set": [a for i, a in enumerate(atoms) if bits >> i & 1],
+                   "mass": f"{w}/{sum(weights)}"}
+                  for bits, w in zip(masks, weights)]
+    else:
+        atoms = draw(st.lists(ATOM_NAMES, min_size=n, max_size=n))
+        masses = draw(st.lists(st.fixed_dictionaries({
+            "set": st.lists(st.one_of(st.sampled_from(atoms), ATOM_NAMES),
+                            max_size=n),
+            "mass": MASSES}), max_size=4))
+    return json.dumps({"frame": atoms, "masses": masses})
+
+
+@st.composite
+def kb_texts(draw):
+    """Knowledge-base text: mostly well-formed lines, with junk among them."""
+    frame = mostly(draw, st.just("frame: a, b, c"), st.lists(
+        ATOM_NAMES, min_size=1, max_size=4).map(", ".join).map(
+            "frame: {}".format))
+    good = st.sampled_from([
+        "V is {a, b}", "typically V is {a} strength 0.9",
+        "typically V is {b, c} strength 1/2", "# note",
+        "typically V is {c} strength 99/100"])
+    bad = st.one_of(st.sampled_from([
+        "W is {b}", "V is {}", "V is {z}", "frame: a, b", "V is {c} x",
+        "typically V is {a} strength 1", "typically V is {c} strength 1/0"]),
+        st.text(max_size=12))
+    lines = [mostly(draw, good, bad) for _ in range(draw(st.integers(1, 4)))]
+    return "\n".join([frame, *lines]) + "\n"
+
+
+ANY_FILE = st.one_of(structure_texts(), kb_texts(), st.binary(max_size=40))
+
+
+@st.composite
+def cli_runs(draw):
+    """A well-formed command line with fuzzed values, and its files: most
+    of the kind the command reads, the rest of any kind."""
+    command = draw(st.sampled_from(["validate", "query", "combine", "entails",
+                                    "kb-infer", "kb-query", "sweep"]))
+    count = {"combine": draw(st.integers(2, 3)), "entails": 2,
+             "sweep": 0}.get(command, 1)
+    kind = kb_texts() if command.startswith("kb") else structure_texts()
+    files = [mostly(draw, kind, ANY_FILE) for _ in range(count)]
+    options = []
+    if command in ("query", "kb-query"):
+        options.append("--set=" + draw(SET_VALUES))
+    if command in ("query", "combine", "kb-infer", "kb-query", "sweep"):
+        options.append("--rule=" + mostly(draw, RULES, BAD_RULES))
+    if command == "entails":
+        options.append("--mode=" + draw(st.sampled_from(
+            ["flow", "partition", "interval"])))
+    if command == "sweep":
+        options.append("--alphas=" + ",".join(
+            draw(st.lists(MASS_TEXTS, min_size=1, max_size=3))))
+        options.append("--betas=1/2")
+    return command, files, options
+
+
+class TestFuzz:
+    """Any well-formed command line on any file ends in exit 0, 1 or 2; a
+    failure leaves stdout empty and prints exactly one ``error:`` line."""
+
+    @given(cli_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_ends_cleanly(self, run_args):
+        command, files, options = run_args
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, content in enumerate(files):
+                paths.append(os.path.join(tmp, f"input{i}"))
+                with open(paths[-1], "wb") as f:
+                    f.write(content if isinstance(content, bytes)
+                            else content.encode("utf-8", "surrogatepass"))
+            # strict UTF-8, as on a terminal or a pipe
+            out = TextIOWrapper(BytesIO(), "utf-8", write_through=True)
+            err = TextIOWrapper(BytesIO(), "utf-8", write_through=True)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, *paths, *options])
+        out, err = out.buffer.getvalue(), err.buffer.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert out == b""
+            assert err.startswith(b"error: ") and err.count(b"\n") == 1
+            assert err.endswith(b"\n")
+        else:
+            assert err == b""

@@ -103,6 +103,17 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(["a", ""])
 
+    @pytest.mark.parametrize("name, shown", [
+        ("a\nm({z}) = 1 ~ 1.000000", r"'a\nm({z}) = 1 ~ 1.000000'"),
+        ("\ud800", r"'\ud800'"), ("tab\t", r"'tab\t'"), ("\x00", r"'\x00'"),
+        ("\u200b", r"'\u200b'"), ("\n" * 200, "<200 characters>")],
+        ids=["line-break", "surrogate", "tab", "nul", "zero-width", "long"])
+    def test_atom_names_are_printable(self, name, shown):
+        with pytest.raises(ValueError, match=re.escape(
+                f"atom name {shown} is not printable")):
+            Frame(["a", name])
+        assert Frame(["a b", "é", "x-1"]).atoms == ("a b", "é", "x-1")
+
     def test_size_cap(self):
         Frame([f"x{i}" for i in range(24)])
         with pytest.raises(FrameTooLarge):
@@ -324,6 +335,8 @@ A, AB = FRAME.subset("a"), FRAME.subset("ab")
 
 # (type, fields by keyword in declaration order, the dataclass repr)
 VALUE_TYPES = [
+    pytest.param(Frame, {"atoms": ("a", "b", "c", "d")},
+                 "Frame(['a', 'b', 'c', 'd'])", id="Frame"),
     pytest.param(FocalSet, {"frame": FRAME, "bits": 0b101},
                  "FocalSet({a, c})", id="FocalSet"),
     pytest.param(ProbabilityInterval, {"lower": F(1, 3), "upper": F(2, 3)},
@@ -377,6 +390,22 @@ class TestValueTypes:
                 delattr(value, name)
         assert [getattr(value, name) for name in fields] == \
             list(fields.values())
+
+    @pytest.mark.parametrize("build, names", [
+        (lambda: Frame("abcd"), ("atoms", "_index", "other")),
+        (lambda: BeliefStructure(FRAME, {A: "1/3", FRAME.full: "2/3"}),
+         ("frame", "_nums", "_den", "other"))],
+        ids=["Frame", "BeliefStructure"])
+    def test_no_attribute_is_assigned_or_deleted(self, build, names):
+        value, before = build(), build()
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        fields = names[:-1]  # all there still, and unchanged
+        assert [getattr(value, name) for name in fields] == \
+            [getattr(before, name) for name in fields]
 
     def test_rule_parameter_defaults_to_none(self):
         rule = CombinationRule("yager")
