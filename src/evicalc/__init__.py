@@ -57,6 +57,14 @@ from . import io
 
 __version__ = "0.1.0"
 
+# Served on first use (PEP 562): monotonicity's reports are dataclasses,
+# and importing dataclasses (with inspect, ast and dis) would be a large
+# share of the start-up of every command that needs no report.
+_MONOTONICITY = (
+    "MonotonicityReport", "SweepRow", "canonical_pair", "monotonic_step",
+    "pairwise_survey", "sweep", "sweep_csv",
+)
+
 __all__ = [
     "BeliefStructure", "FocalSet", "Frame", "ProbabilityInterval",
     "decimal6", "mass_str", "to_mass",
@@ -66,20 +74,11 @@ __all__ = [
     "possibility",
     "EntailmentWitness", "flow_entails", "hedge", "interval_contained",
     "partition_entails", "validate_witness", "weaken_to",
-    "MonotonicityReport", "SweepRow", "canonical_pair", "monotonic_step",
-    "pairwise_survey", "sweep", "sweep_csv",
+    *_MONOTONICITY,
     "Absolute", "KnowledgeBase", "Statement", "Typical", "compile_statement",
     "infer", "parse_kb", "query", "serialize_kb", "typical_summary",
     "errors", "io",
 ]
-
-# Served on first use (PEP 562): monotonicity's reports are dataclasses,
-# and importing dataclasses (with inspect, ast and dis) would be a large
-# share of the start-up of every command that needs no report.
-_MONOTONICITY = frozenset({
-    "MonotonicityReport", "SweepRow", "canonical_pair", "monotonic_step",
-    "pairwise_survey", "sweep", "sweep_csv",
-})
 
 
 def __getattr__(name: str):

@@ -17,7 +17,7 @@ from . import io
 from .combine import _combine_with_conflict, combine_all, parse_rule
 from .core import BeliefStructure, FocalSet
 from .entailment import flow_entails, interval_contained, partition_entails
-from .errors import EvicalcError
+from .errors import EvicalcError, _text
 from .kb import KnowledgeBase, infer, parse_kb, typical_summary
 
 
@@ -25,7 +25,8 @@ class _LoadFailure(Exception):
     """A file could not be read, parsed or written; exits with status 1."""
 
     def __init__(self, path: str, cause: Exception):
-        super().__init__(f"{path}: {type(cause).__name__}: {cause}")
+        shown = path if path.isprintable() else repr(path)  # one line
+        super().__init__(f"{shown}: {type(cause).__name__}: {cause}")
 
 
 def _load(path: str, parse):
@@ -35,6 +36,22 @@ def _load(path: str, parse):
             return parse(f.read())
     except Exception as exc:
         raise _LoadFailure(path, exc) from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error in one bounded ``error:`` line and status 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
+        values = {v for a in self._argv for v in (a, a.partition("=")[2])}
+        for value in sorted(values, key=len, reverse=True):
+            if len(value) > 99:
+                message = message.replace(repr(value), _text(value))
+                message = message.replace(value, _text(value))
+        self.exit(2, f"error: {' '.join(message.split())}\n")
 
 
 def _parse_any(text: str) -> BeliefStructure | KnowledgeBase:
@@ -62,9 +79,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_query(args, parse=_parse_any) -> int:
+def _cmd_query(args) -> int:
     rule = parse_rule(args.rule)
-    loaded = _load(args.path, parse)
+    loaded = _load(args.path, args.parse)
     # Compute first, so that a run ending in an error prints no partial answer
     if isinstance(loaded, KnowledgeBase):
         m = infer(loaded, rule)
@@ -116,9 +133,7 @@ def _cmd_entails(args) -> int:
         if verdict:
             answer += io.format_witness(witness)
     sys.stdout.write(f"mode: {args.mode}\n{answer}")
-    if args.assert_ and not verdict:
-        return 2
-    return 0
+    return 2 if args.assert_ and not verdict else 0
 
 
 def _cmd_monotone(args) -> int:
@@ -151,10 +166,6 @@ def _cmd_kb_infer(args) -> int:
     return 0
 
 
-def _cmd_kb_query(args) -> int:
-    return _cmd_query(args, parse_kb)
-
-
 def _cmd_sweep(args) -> int:
     from .monotonicity import sweep, sweep_csv
 
@@ -170,7 +181,7 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evicalc",
         description="Exact-arithmetic belief structures: combination, "
                     "entailment, monotonicity analysis, and default "
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated atom names")
     p.add_argument("--rule", default="dempster",
                    help="combination rule (knowledge-base input only)")
-    p.set_defaults(func=_cmd_query)
+    p.set_defaults(func=_cmd_query, parse=_parse_any)
 
     p = sub.add_parser("combine", help="combine stored belief structures")
     p.add_argument("paths", nargs="+")
@@ -229,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--set", required=True)
     p.add_argument("--rule", default="dempster")
-    p.set_defaults(func=_cmd_kb_query)
+    p.set_defaults(func=_cmd_query, parse=parse_kb)
 
     p = sub.add_parser("sweep", help="grid study of the two-focal family")
     p.add_argument("--alphas", required=True,

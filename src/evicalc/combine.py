@@ -20,8 +20,8 @@ The table is never built cell by cell.  A structure stores its integer form
 (bitmask -> numerator over one common denominator), and one product pass,
 :func:`_product`, over two stored forms yields the routed numerators and the
 conflict K together; :func:`conflict_mass`, for a caller that needs only K,
-runs a pass of its own (Dempster's) and keeps only its K.  The result is
-built from the numerators in integers, with no Fraction per focal element.
+runs a pass of its own (Dempster's) and keeps only its K.  A fold,
+:func:`_fold`, runs on integer forms and builds one structure at the end.
 """
 
 from __future__ import annotations
@@ -126,38 +126,45 @@ def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
     return out, conflict
 
 
-def _step(m1: BeliefStructure, m2: BeliefStructure, rule: CombinationRule):
-    """One combination: the result and the conflict numerator K over
-    d1 * d2 (None under discount, which builds no product table)."""
-    _check_frame(m1.frame, m2, BeliefStructure)
-    n1, d1, n2, d2 = m1._nums, m1._den, m2._nums, m2._den
-    if 0 in n1 or 0 in n2:
-        raise SubnormalInput("combination requires normal input structures")
-    if rule.kind == "discount":
-        p, q = rule.param.numerator, rule.param.denominator
-        out = {a: p * d2 * w for a, w in n1.items()}
-        for b, w in n2.items():
-            out[b] = out.get(b, 0) + (q - p) * d1 * w
-        out = {f: w for f, w in out.items() if w}  # c = 0 or 1 empties a side
-        den, conflict = q * d1 * d2, None
-    elif rule.kind in _CONFLICT_TARGET:
-        out, conflict = _product(n1, n2, _CONFLICT_TARGET[rule.kind],
-                                 m1.frame.full.bits)
-        # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
-        den = d1 * d2 - (conflict if rule.kind == "dempster" else 0)
-        if not den:
-            raise TotalConflict()
-    else:
-        raise ValueError(f"not a cell-routing rule: {rule}")
+def _fold(items: Sequence[BeliefStructure], rule: CombinationRule):
+    """The left fold of two or more structures on integer forms, built into
+    one structure at the end, and the last step's conflict numerator K
+    (None under discount, which builds no product table)."""
+    frame, nums, den = items[0].frame, items[0]._nums, items[0]._den
+    conflict = None
+    for index, m in enumerate(items[1:], start=2):
+        _check_frame(frame, m, BeliefStructure)
+        n2, d2 = m._nums, m._den
+        if 0 in nums or 0 in n2:
+            raise SubnormalInput(
+                "combination requires normal input structures")
+        if rule.kind == "discount":
+            p, q = rule.param.numerator, rule.param.denominator
+            out = {a: p * d2 * w for a, w in nums.items()}
+            for b, w in n2.items():
+                out[b] = out.get(b, 0) + (q - p) * den * w
+            nums = {f: w for f, w in out.items() if w}  # c = 0 or c = 1
+            den *= q * d2
+        elif rule.kind in _CONFLICT_TARGET:
+            nums, conflict = _product(nums, n2, _CONFLICT_TARGET[rule.kind],
+                                      frame.full.bits)
+            # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
+            den = den * d2 - (conflict if rule.kind == "dempster" else 0)
+            if not den:
+                raise TotalConflict(
+                    f"total conflict (K = 1) while combining statement "
+                    f"{index} into the running result", statement_index=index)
+        else:
+            raise ValueError(f"not a cell-routing rule: {rule}")
     return BeliefStructure._from_form(
-        m1.frame, out, den, subnormal=rule.kind == "unnormalized"), conflict
+        frame, nums, den, subnormal=rule.kind == "unnormalized"), conflict
 
 
 def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,
                            rule: CombinationRule):
     """:func:`combine` and the pair's conflict K, from the same product
     pass; discount, which mixes instead, makes a pass for K alone."""
-    result, conflict = _step(m1, m2, rule)
+    result, conflict = _fold((m1, m2), rule)
     return result, (conflict_mass(m1, m2) if conflict is None
                     else Fraction(conflict, m1._den * m2._den))
 
@@ -181,17 +188,12 @@ def combine_all(structures: Sequence[BeliefStructure] |
 
     Dempster is associative and commutative, so its fold is order
     independent; for the other rules the input order is part of the answer.
-    Each step combines the stored integer forms.
-    A TotalConflict carries in ``statement_index`` the position, from 1, of
-    the structure whose combination reached K = 1.
+    The fold runs on integer forms and builds one structure at the end (a
+    single item is returned unchanged).  A TotalConflict carries in
+    ``statement_index`` the position, from 1, of the structure whose
+    combination reached K = 1.
     """
     items = list(structures)
     if not items:
         raise ValueError("combine_all needs at least one structure")
-    result = items[0]
-    for index, nxt in enumerate(items[1:], start=2):
-        try:
-            result, _ = _step(result, nxt, rule)
-        except TotalConflict:
-            raise TotalConflict(statement_index=index) from None
-    return result
+    return items[0] if len(items) == 1 else _fold(items, rule)[0]

@@ -54,6 +54,8 @@ def _parse_mass(value: MassLike) -> Fraction:
         return Fraction(repr(value))
     if not isinstance(value, str):
         raise TypeError(f"cannot interpret {type(value).__name__} as a mass")
+    if not value.isascii():  # Fraction would read "١/٢" as 1/2
+        raise ValueError(f"cannot parse mass {_text(value)}: not ASCII")
     # Fraction expands 10**exponent unchecked: minutes for "1e-100000000"
     text = value.strip()
     exp = text.lower().partition("e")[2].strip().lstrip("+-")

@@ -92,9 +92,8 @@ def validate_witness(specific: BeliefStructure, general: BeliefStructure,
     rows: dict[FocalSet, Fraction] = {}
     cols: dict[FocalSet, Fraction] = {}
     for a, b, w in witness.triples:
-        if a.frame != specific.frame or b.frame != specific.frame:
-            return False
-        if w <= 0 or not a.issubset(b):
+        if (a.frame != specific.frame or b.frame != specific.frame
+                or w <= 0 or not a.issubset(b)):
             return False
         rows[a] = rows.get(a, ZERO) + w
         cols[b] = cols.get(b, ZERO) + w

@@ -80,14 +80,9 @@ class KbError(EvicalcError):
 
     def __init__(self, message: str, *, line: int | None = None,
                  col: int | None = None):
-        self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if col is not None:
-                where += f", col {col}"
-            where += ": "
+        self.line, self.col = line, col
+        where = "" if line is None else f"line {line}" + (
+            "" if col is None else f", col {col}") + ": "
         super().__init__(where + message)
 
 

@@ -84,8 +84,7 @@ def dumps_structure(m: BeliefStructure) -> str:
 
 def loads_structure(text: str) -> BeliefStructure:
     # parse_float sees the literal source text, so decimals convert exactly
-    obj = json.loads(text, parse_float=_parse_mass)
-    return structure_from_obj(obj)
+    return structure_from_obj(json.loads(text, parse_float=_parse_mass))
 
 
 def load_structure(path: str | os.PathLike) -> BeliefStructure:

@@ -37,7 +37,6 @@ from .errors import (
     MissingFrame,
     ParseError,
     StrengthOutOfRange,
-    TotalConflict,
     UnknownAtom,
     VariableMismatch,
     _text,
@@ -103,7 +102,7 @@ _STMT_LINE = re.compile(
     rf"^(?P<typ>typically\s+)?(?P<var>{_NAME})\s+is\s+"
     rf"\{{(?P<set>[^{{}}]*)\}}(?P<rest>.*)$")
 _STRENGTH = re.compile(r"^\s+strength\s+(?P<num>\S+)\s*$")
-_NUMBER = re.compile(r"^(\d+/\d+|\d+(\.\d+)?|\.\d+)$")
+_NUMBER = re.compile(r"^(\d+/\d+|\d+(\.\d+)?|\.\d+)$", re.ASCII)
 
 
 def _parse_set(frame: Frame, body: str, line: int, col: int) -> FocalSet:
@@ -221,33 +220,27 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 
 def compile_statement(stmt: Statement, frame: Frame) -> BeliefStructure:
     """The belief structure a single statement stands for."""
-    if isinstance(stmt, Absolute):
-        return BeliefStructure(frame, [(stmt.set, ONE)])
-    return BeliefStructure(frame, [(stmt.set, stmt.strength),
-                                   (frame.full, ONE - stmt.strength)])
+    strength = ONE if isinstance(stmt, Absolute) else stmt.strength
+    return BeliefStructure(frame, [(stmt.set, strength),  # 0 is dropped
+                                   (frame.full, ONE - strength)])
 
 
 def infer(kb: KnowledgeBase,
           rule: CombinationRule = DEMPSTER) -> BeliefStructure:
     """Combine the compiled statements in knowledge-base order.
 
-    The fold runs once per (knowledge base, rule): its result is kept on
-    the knowledge base and returned by every later call, including those
-    made by :func:`query` and :func:`typical_summary`.  Errors are not
-    kept, so a failing fold raises again on every call.  Total conflict
+    The fold runs on integer forms and builds one structure at the end,
+    once per (knowledge base, rule): its result is kept on the knowledge
+    base and returned by every later call, including those made by
+    :func:`query` and :func:`typical_summary`.  Errors are not kept, so a
+    failing fold raises again on every call.  Total conflict
     (two contradictory absolute statements under Dempster, for instance)
     is reported with the statement that triggered it.
     """
     inferred = kb._inferred.get(rule)
     if inferred is None:
-        try:
-            inferred = combine_all([compile_statement(stmt, kb.frame)
-                                    for stmt in kb.statements], rule)
-        except TotalConflict as exc:
-            raise TotalConflict(
-                f"total conflict (K = 1) while combining statement "
-                f"{exc.statement_index} into the running result",
-                statement_index=exc.statement_index) from None
+        inferred = combine_all([compile_statement(stmt, kb.frame)
+                                for stmt in kb.statements], rule)
         kb._inferred[rule] = inferred
     return inferred
 

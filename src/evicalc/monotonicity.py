@@ -173,8 +173,7 @@ def sweep(alpha_grid: list[MassLike], beta_grid: list[MassLike],
             out.append(value)
         return out
 
-    alphas = grid(alpha_grid)
-    betas = grid(beta_grid)
+    alphas, betas = grid(alpha_grid), grid(beta_grid)
     rows = []
     for alpha in alphas:
         for beta in betas:

@@ -49,6 +49,14 @@ class TestValidate:
         assert code == 1
         assert "nope.bs" in err
 
+    def test_unprintable_path_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "no\npe.bs"
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {str(path)!r}: FileNotFoundError: [Errno 2] No such "
+            f"file or directory: {str(path)!r}"]
+
     def test_bad_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.bs"
         bad.write_text('{"frame": ["a"], "masses": '
@@ -281,10 +289,12 @@ class TestLongNumbersInErrors:
 
 class TestCombine:
     def test_total_conflict_exits_2(self, capsys):
-        code, _, err = run(capsys, "combine", DATA / "point_a.bs",
-                           DATA / "point_b.bs", "--rule", "dempster")
-        assert code == 2
-        assert "total conflict (K = 1)" in err
+        code, out, err = run(capsys, "combine", DATA / "point_a.bs",
+                             DATA / "point_b.bs", "--rule", "dempster")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: TotalConflict: total conflict (K = 1) while combining "
+            "statement 2 into the running result"]
 
     def test_write_then_validate_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "out.bs"
@@ -503,6 +513,64 @@ class TestSweep:
         assert "GridOutOfRange" in err
 
 
+class TestNonAsciiDigits:
+    """Digits outside ASCII are not numbers, though int and Fraction would
+    read them: a strength of "٠.٩" or a mass of "١/٢" is refused."""
+
+    def test_kb_strength_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "digits.kb"
+        path.write_text("frame: a, b\ntypically V is {a} strength ٠.٩\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "kb-infer", path)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: ParseError: line 2, col 19: bad strength "
+            "'٠.٩': use a decimal or p/q fraction"]
+
+    def test_structure_mass_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "digits.bs"
+        path.write_text('{"frame": ["a", "b"], "masses": ['
+                        '{"set": ["a"], "mass": "١/٢"}, '
+                        '{"set": ["b"], "mass": "1/2"}]}', encoding="utf-8")
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: ValueError: cannot parse mass '١/٢': not ASCII"]
+
+
+def usage(capsys, *argv):
+    """Run a command line that argparse ends; its status, stdout, stderr."""
+    with pytest.raises(SystemExit) as stop:
+        main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+class TestUsageErrors:
+    """A command line that argparse refuses ends in exit status 2, an empty
+    stdout and one ``error:`` line, with a long value shown by its length."""
+
+    @pytest.mark.parametrize("argv, start", [
+        (["entails", "a.bs", "b.bs", "--mode", "bogus"],
+         "error: argument --mode: invalid choice: 'bogus' "),
+        (["query", "a.kb"],
+         "error: the following arguments are required: --set"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' "),
+        (["entails", "a.bs", "b.bs", "--mode", "m" * 5000],
+         "error: argument --mode: invalid choice: <5000 characters> "),
+    ], ids=["bad-mode", "missing-set", "unknown-command", "long-mode"])
+    def test_one_error_line(self, capsys, argv, start):
+        code, out, err = usage(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(start)
+        assert len(err) < 200
+
+    def test_help_still_prints(self, capsys):
+        code, out, err = usage(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: evicalc")
+
+
 class TestImports:
     """The CLI runs on the standard library alone."""
 
@@ -693,6 +761,29 @@ def cli_runs(draw):
     return command, files, options
 
 
+COMMANDS = ["validate", "query", "combine", "entails", "monotone",
+            "kb-infer", "kb-query", "sweep"]
+OPTIONS = ["--set", "--rule", "--mode", "--mode=bogus", "--assert", "--rules",
+           "--weaken-to", "-o", "--out", "--alphas", "--betas", "--overlap",
+           "--bogus", "-", "--"]
+JUNK = st.one_of(
+    st.sampled_from(["bogus", "", "a\nb", "flow", "dempster", "1/2", "a,b",
+                     "v" * 5000, "--mode=" + "w" * 300, "--rule=" + "r" * 300,
+                     "missing.bs"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+
+
+@st.composite
+def malformed_argv(draw):
+    """A command line of commands, options and junk in any order: most lack
+    a required option or give a bad value, and a few happen to be valid."""
+    head = draw(st.one_of(st.sampled_from(COMMANDS), JUNK))
+    rest = draw(st.lists(st.one_of(st.sampled_from(COMMANDS),
+                                   st.sampled_from(OPTIONS), JUNK),
+                         max_size=6))
+    return [head, *rest]
+
+
 class TestFuzz:
     """Any well-formed command line on any file ends in exit 0, 1 or 2; a
     failure leaves stdout empty and prints exactly one ``error:`` line."""
@@ -719,5 +810,38 @@ class TestFuzz:
             assert out == b""
             assert err.startswith(b"error: ") and err.count(b"\n") == 1
             assert err.endswith(b"\n")
+        else:
+            assert err == b""
+
+    @given(malformed_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_argv_is_one_usage_line(self, argv):
+        """A command line argparse refuses exits 2 with an empty stdout and
+        one ``error:`` line, each long value shown by its length; one it
+        accepts keeps the contract above.  Runs in an empty directory, so
+        that no path names a file and an -o writes nowhere else."""
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            out = TextIOWrapper(BytesIO(), "utf-8", write_through=True)
+            # the interpreter's own stderr escapes what UTF-8 cannot encode
+            err = TextIOWrapper(BytesIO(), "utf-8", "backslashreplace",
+                                write_through=True)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as stop:
+                code, usage_error = stop.code, True
+            else:
+                usage_error = False
+            finally:
+                os.chdir(cwd)
+        out, err = out.buffer.getvalue(), err.buffer.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert out == b""
+            assert err.startswith(b"error: ") and err.count(b"\n") == 1
+            assert err.endswith(b"\n")
+            assert not usage_error or (code == 2 and len(err) < 1000)
         else:
             assert err == b""

@@ -397,9 +397,11 @@ class TestIntegerPass:
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from(RULES))
     def test_combine_all_is_the_oracle_fold(self, rng, rule):
+        # up to 8 items: the fold carries an unreduced denominator until
+        # its one structure is built, and that must still be the oracle's
         frame = random_frame(rng, 1, 5)
         items = [random_structure(rng, frame, 4, rng.choice(self.TOTALS))
-                 for _ in range(rng.randint(1, 4))]
+                 for _ in range(rng.randint(1, 8))]
         outcome, expected = oracle_fold(items, rule)
         if outcome == "total conflict":
             with pytest.raises(TotalConflict) as err:
@@ -412,6 +414,28 @@ class TestIntegerPass:
             result = combine_all(items, rule)
             assert bits_of(result) == expected
             assert_public_twin(rng, result)
+
+
+    @pytest.mark.parametrize("rule", RULES, ids=str)
+    def test_a_fold_builds_one_structure(self, monkeypatch, rule):
+        """A fold of five structures checks and stores one integer form,
+        its result's, under every rule."""
+        rng = random.Random(47)
+        frame = random_frame(rng, 3, 5)
+        # every focal set holds atom 0: no conflict, so every rule folds
+        items = []
+        for _ in range(5):
+            strength = F(rng.randint(1, 9), rng.choice([10, 11, 13]))
+            body = frame.from_bits(1 | rng.randrange(1 << len(frame)))
+            items.append(BeliefStructure(frame, [
+                (body, strength), (frame.full, 1 - strength)]))
+        built = []
+        store = BeliefStructure._set
+        monkeypatch.setattr(BeliefStructure, "_set", lambda self, *args:
+                            built.append(args) or store(self, *args))
+        result = combine_all(items, rule)
+        assert len(built) == 1
+        assert bits_of(result) == oracle_fold(items, rule)[1]
 
 
 def sized_structure(rng, frame, count):
