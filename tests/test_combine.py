@@ -415,7 +415,6 @@ class TestIntegerPass:
             assert bits_of(result) == expected
             assert_public_twin(rng, result)
 
-
     @pytest.mark.parametrize("rule", RULES, ids=str)
     def test_a_fold_builds_one_structure(self, monkeypatch, rule):
         """A fold of five structures checks and stores one integer form,
