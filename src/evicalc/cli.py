@@ -25,8 +25,10 @@ class _LoadFailure(Exception):
     """A file could not be read, parsed or written; exits with status 1."""
 
     def __init__(self, path: str, cause: Exception):
-        shown = path if path.isprintable() else repr(path)  # one line
-        super().__init__(f"{shown}: {type(cause).__name__}: {cause}")
+        # one bounded line: errors._text shows a long or unprintable path
+        shown = path if path.isprintable() and len(path) < 100 else _text(path)
+        text = str(cause).replace(repr(path), _text(path))  # OSError quotes it
+        super().__init__(f"{shown}: {type(cause).__name__}: {text}")
 
 
 def _load(path: str, parse):

@@ -17,11 +17,11 @@ its weight:
 mixture c*m1 + (1-c)*m2.
 
 The table is never built cell by cell.  A structure stores its integer form
-(bitmask -> numerator over one common denominator), and one product pass,
-:func:`_product`, over two stored forms yields the routed numerators and the
-conflict K together; :func:`conflict_mass`, for a caller that needs only K,
-runs a pass of its own (Dempster's) and keeps only its K.  A fold,
-:func:`_fold`, runs on integer forms and builds one structure at the end.
+(bitmask -> numerator over one common denominator).  One product pass,
+:func:`_product`, over two forms yields the routed numerators and K, taking
+the full set's row (X & a = a) as one scaled copy; :func:`conflict_mass`
+runs a pass of its own for K alone.  The one fold, :func:`_fold`, takes
+forms in (a structure's or a statement's) and builds one structure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .core import (ZERO, ONE, BeliefStructure, FocalSet, MassLike,
+from .core import (ZERO, ONE, BeliefStructure, FocalSet, Frame, MassLike,
                    _check_frame, _num_text, _Value, mass_str, to_mass)
 from .errors import EmptyTarget, SubnormalInput, TotalConflict, _text
 
@@ -84,7 +84,7 @@ def parse_rule(text: str) -> CombinationRule:
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
     """The conflict K: total product weight landing on empty intersections."""
     _check_frame(m1.frame, m2, BeliefStructure)
-    return Fraction(_product(m1._nums, m2._nums, None, 0)[1],
+    return Fraction(_product(m1._nums, m2._nums, None, None)[1],
                     m1._den * m2._den)
 
 
@@ -107,13 +107,18 @@ _CONFLICT_TARGET = {
     "priority-second": lambda a, b, full: b}
 
 
-def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
+def _product(n1, n2, route, full: int | None) -> tuple[dict[int, int], int]:
     """One pass over the product table of two integer forms: the cell
-    weights (over d1 * d2) summed by target, and the conflict numerator K."""
-    out: dict[int, int] = {}
+    weights (over d1 * d2) summed by target, and the conflict numerator K.
+    X's row (``full``) is n1 scaled, so n1 must not hold the empty set;
+    ``full=None`` counts every cell, for subnormal input."""
+    wx = n2.get(full)
+    out = {a: wa * wx for a, wa in n1.items()} if wx else {}
     conflict = 0
     # n2 outside: a fold step's right operand is the small one
     for b, wb in n2.items():
+        if b == full:
+            continue
         for a, wa in n1.items():
             w = wa * wb
             target = a & b
@@ -126,16 +131,16 @@ def _product(n1, n2, route, full: int) -> tuple[dict[int, int], int]:
     return out, conflict
 
 
-def _fold(items: Sequence[BeliefStructure], rule: CombinationRule):
-    """The left fold of two or more structures on integer forms, built into
+def _fold(frame: Frame, forms: Iterable[tuple[dict[int, int], int]],
+          rule: CombinationRule):
+    """The left fold of one or more integer forms on one frame, built into
     one structure at the end, and the last step's conflict numerator K
     (None under discount, which builds no product table)."""
-    frame, nums, den = items[0].frame, items[0]._nums, items[0]._den
+    forms = iter(forms)
+    nums, den = next(forms)
     conflict = None
-    for index, m in enumerate(items[1:], start=2):
-        _check_frame(frame, m, BeliefStructure)
-        n2, d2 = m._nums, m._den
-        if 0 in nums or 0 in n2:
+    for index, (n2, d2) in enumerate(forms, start=2):
+        if 0 in nums or 0 in n2:  # which lets _product copy X's row
             raise SubnormalInput(
                 "combination requires normal input structures")
         if rule.kind == "discount":
@@ -160,11 +165,18 @@ def _fold(items: Sequence[BeliefStructure], rule: CombinationRule):
         frame, nums, den, subnormal=rule.kind == "unnormalized"), conflict
 
 
+def _forms(items: Sequence[BeliefStructure]):
+    """Each structure's integer form, its frame checked as the fold gets it."""
+    for m in items:
+        _check_frame(items[0].frame, m, BeliefStructure)
+        yield m._nums, m._den
+
+
 def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,
                            rule: CombinationRule):
     """:func:`combine` and the pair's conflict K, from the same product
     pass; discount, which mixes instead, makes a pass for K alone."""
-    result, conflict = _fold((m1, m2), rule)
+    result, conflict = _fold(m1.frame, _forms((m1, m2)), rule)
     return result, (conflict_mass(m1, m2) if conflict is None
                     else Fraction(conflict, m1._den * m2._den))
 
@@ -196,4 +208,5 @@ def combine_all(structures: Sequence[BeliefStructure] |
     items = list(structures)
     if not items:
         raise ValueError("combine_all needs at least one structure")
-    return items[0] if len(items) == 1 else _fold(items, rule)[0]
+    return (items[0] if len(items) == 1
+            else _fold(items[0].frame, _forms(items), rule)[0])

@@ -13,11 +13,11 @@ parsed exactly (decimals or p/q fractions) and must lie strictly between 0
 and 1: strength 1 is an absolute statement and must be written as one, and
 strength 0 says nothing.
 
-Inference is the left-fold combination of the compiled statements in file
-order.  Under the default rule (Dempster) a typical statement that conflicts
-outright with an absolute one is completely discounted, and between two
-conflicting typical statements the one with the larger strength keeps the
-larger share of belief; strengths thereby act as priorities.
+Inference folds the statements' integer forms (:func:`compile_statement`)
+in file order.  Under the default rule (Dempster) a typical statement that
+conflicts outright with an absolute one is completely discounted, and
+between two conflicting typical statements the one with the larger strength
+keeps the larger share of belief; strengths thereby act as priorities.
 
 A knowledge base is immutable, so it keeps each inference it has made, one
 per combination rule: :func:`infer`, :func:`query` and
@@ -29,9 +29,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .combine import DEMPSTER, CombinationRule, combine_all
+from .combine import DEMPSTER, CombinationRule, _fold
 from .core import (BeliefStructure, FocalSet, Frame, ProbabilityInterval,
-                   ONE, _check_frame, _num_text, _Value)
+                   _check_frame, _num_text, _Value, to_mass)
 from .entailment import weaken_to
 from .errors import (
     MissingFrame,
@@ -96,27 +96,24 @@ class KnowledgeBase(_Value):
         object.__setattr__(self, "_inferred", {})
 
 
-_NAME = r"[A-Za-z0-9_]+"
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 _FRAME_LINE = re.compile(r"^frame\s*:\s*(?P<body>.*)$")
 _STMT_LINE = re.compile(
-    rf"^(?P<typ>typically\s+)?(?P<var>{_NAME})\s+is\s+"
+    rf"^(?P<typ>typically\s+)?(?P<var>{_NAME.pattern})\s+is\s+"
     rf"\{{(?P<set>[^{{}}]*)\}}(?P<rest>.*)$")
 _STRENGTH = re.compile(r"^\s+strength\s+(?P<num>\S+)\s*$")
 _NUMBER = re.compile(r"^(\d+/\d+|\d+(\.\d+)?|\.\d+)$", re.ASCII)
 
 
 def _parse_set(frame: Frame, body: str, line: int, col: int) -> FocalSet:
-    names = []
-    if body.strip():
-        for part in body.split(","):
-            name = part.strip()
-            if not re.fullmatch(_NAME, name):
-                raise ParseError(f"bad atom name {_text(name)}", line=line,
-                                 col=col)
-            names.append(name)
-    if not names:
+    names = [part.strip() for part in body.split(",")]
+    if names == [""]:
         raise ParseError("a statement set must name at least one atom",
                          line=line, col=col)
+    for name in names:
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"bad atom name {_text(name)}", line=line,
+                             col=col)
     try:
         return frame.subset(names)
     except UnknownAtom as exc:
@@ -142,7 +139,7 @@ def parse_kb(text: str) -> KnowledgeBase:
                                  line=lineno, col=indent)
             atoms = [part.strip() for part in
                      frame_match.group("body").split(",")]
-            if not all(re.fullmatch(_NAME, a) for a in atoms):
+            if not all(map(_NAME.fullmatch, atoms)):
                 raise ParseError("frame atoms must be comma-separated names",
                                  line=lineno, col=indent)
             try:
@@ -218,11 +215,21 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _statement_form(stmt: Statement, full: int):
+    """{B: 1} over 1 for "V is B"; {B: n, X: d - n} over d for "typically
+    V is B" at strength n/d, or {X: d} over d when B is the full set X."""
+    b = stmt.set.bits
+    if isinstance(stmt, Absolute):
+        return {b: 1}, 1
+    n, d = to_mass(stmt.strength).as_integer_ratio()  # 0.99 is 99/100
+    return ({b: n, full: d - n} if b != full else {full: d}), d
+
+
 def compile_statement(stmt: Statement, frame: Frame) -> BeliefStructure:
-    """The belief structure a single statement stands for."""
-    strength = ONE if isinstance(stmt, Absolute) else stmt.strength
-    return BeliefStructure(frame, [(stmt.set, strength),  # 0 is dropped
-                                   (frame.full, ONE - strength)])
+    """The belief structure a single statement stands for, built from the
+    integer form :func:`infer` folds."""
+    return BeliefStructure._from_form(frame, *_statement_form(
+        stmt, frame.full.bits))
 
 
 def infer(kb: KnowledgeBase,
@@ -239,8 +246,9 @@ def infer(kb: KnowledgeBase,
     """
     inferred = kb._inferred.get(rule)
     if inferred is None:
-        inferred = combine_all([compile_statement(stmt, kb.frame)
-                                for stmt in kb.statements], rule)
+        full = kb.frame.full.bits
+        inferred = _fold(kb.frame, [_statement_form(stmt, full)
+                                    for stmt in kb.statements], rule)[0]
         kb._inferred[rule] = inferred
     return inferred
 

@@ -57,6 +57,18 @@ class TestValidate:
             f"error: {str(path)!r}: FileNotFoundError: [Errno 2] No such "
             f"file or directory: {str(path)!r}"]
 
+    @pytest.mark.parametrize("length", [300, 5000])
+    def test_long_path_is_one_short_line(self, capsys, tmp_path, monkeypatch,
+                                         length):
+        # errors._text's bound: the path is shown as "<n characters>" in
+        # the prefix and in the OSError's own text
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "validate", "x" * length)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.encode()) < 200
+        assert err.count(f"<{length} characters>") == 2
+
     def test_bad_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.bs"
         bad.write_text('{"frame": ["a"], "masses": '

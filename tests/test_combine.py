@@ -235,6 +235,18 @@ class TestCombineAll:
         with pytest.raises(ValueError):
             combine_all([], DEMPSTER)
 
+    def test_frames_are_checked_as_the_fold_reaches_them(self, frame4,
+                                                          frame5):
+        # the first step that cannot run is the one reported
+        a, b = (BeliefStructure(frame4, [(frame4.subset([x]), 1)])
+                for x in "ab")
+        other = BeliefStructure.vacuous(frame5)
+        with pytest.raises(TotalConflict) as err:
+            combine_all([a, b, other])
+        assert err.value.statement_index == 2
+        with pytest.raises(FrameMismatch):
+            combine_all([a, other, b])
+
 
 class TestAlgebra:
     @settings(max_examples=60, deadline=None)
@@ -435,6 +447,57 @@ class TestIntegerPass:
         result = combine_all(items, rule)
         assert len(built) == 1
         assert bits_of(result) == oracle_fold(items, rule)[1]
+
+
+def structure_with_full(rng, frame, full_set):
+    """A normal structure of 1 to 3 random proper subsets, plus the full
+    set X as a focal element when ``full_set`` is true."""
+    full = frame.full.bits
+    masks = rng.sample(range(1, full), min(full - 1, rng.randint(1, 3)))
+    masks += [full] * full_set
+    weights = [rng.randint(1, 9) for _ in masks]
+    return BeliefStructure(frame, [(frame.from_bits(bits), F(w, sum(weights)))
+                                   for bits, w in zip(masks, weights)])
+
+
+class TestFullSetRow:
+    """_product takes the row of the right operand's full set X as one
+    scaled copy of the left form (X & a = a).  With X on the left, the
+    right, both sides or neither, combine and combine_all still give the
+    cell-by-cell oracle's result under every cell-routing rule."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(CELL_ROUTING_RULES),
+           st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_matches_the_oracle(self, rng, rule, full_sets):
+        frame = random_frame(rng, 2, 5)
+        items = [structure_with_full(rng, frame, x) for x in full_sets]
+        m1, m2 = items[:2]
+        conflict = oracle_conflict(m1, m2)
+        assert conflict_mass(m1, m2) == conflict
+        if rule is DEMPSTER and conflict == 1:
+            with pytest.raises(TotalConflict):
+                combine(m1, m2, rule)
+        else:
+            assert bits_of(combine(m1, m2, rule)) == \
+                oracle_combine(m1, m2, rule)
+        outcome, expected = oracle_fold(items, rule)
+        if outcome == "ok":
+            assert bits_of(combine_all(items, rule)) == expected
+        else:
+            with pytest.raises((TotalConflict, SubnormalInput)):
+                combine_all(items, rule)
+
+    def test_subnormal_conflict_counts_the_full_set_row(self, frame4):
+        # conflict_mass takes subnormal input: the (empty set, X) cell
+        # conflicts, on either side
+        m = BeliefStructure(frame4, [(frame4.empty, F(1, 2)),
+                                     (frame4.subset(["a"]), F(1, 2))],
+                            subnormal=True)
+        vacuous = BeliefStructure.vacuous(frame4)
+        assert conflict_mass(m, vacuous) == F(1, 2)
+        assert conflict_mass(vacuous, m) == F(1, 2)
 
 
 def sized_structure(rng, frame, count):

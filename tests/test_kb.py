@@ -377,6 +377,56 @@ def statement_structure(frame, stmt):
                                    (frame.full, 1 - stmt.strength)])
 
 
+class TestStatementForms:
+    """infer folds each statement's integer form; compile_statement builds
+    a structure from that form, equal to the public constructor's."""
+
+    TEXTS = {
+        "typical-on-full-set": "typically V is {a, b, c} strength 3/4\n"
+                               "typically V is {a} strength 0.6\n",
+        "absolute-on-full-set": "V is {a, b, c}\n"
+                                "typically V is {b, c} strength 0.9\n",
+        "one-statement": "typically V is {a, b} strength 0.6\n",
+        "one-full-set-statement": "typically V is {a, b, c} strength 1/3\n",
+    }
+
+    @pytest.mark.parametrize("rule", [*CELL_ROUTING_RULES, discount(F(2, 5))],
+                             ids=str)
+    @pytest.mark.parametrize("body", TEXTS.values(), ids=TEXTS)
+    def test_infer_is_the_oracle_fold(self, body, rule):
+        kb = parse_kb("frame: a, b, c\n" + body)
+        compiled = [compile_statement(s, kb.frame) for s in kb.statements]
+        assert compiled == [statement_structure(kb.frame, s)
+                            for s in kb.statements]
+        assert structure_bits(infer(kb, rule)) == \
+            oracle_fold(compiled, rule)[1]
+
+    def test_float_strength_is_read_as_its_decimal(self, frame5):
+        # as to_mass reads a float mass: 0.99 is 99/100, not the binary
+        # fraction nearest to it
+        a = frame5.subset(["a"])
+        assert compile_statement(Typical(a, 0.99), frame5) == \
+            BeliefStructure(frame5, [(a, "99/100"), (frame5.full, "1/100")])
+
+    def test_infer_builds_one_structure(self, monkeypatch):
+        """A 30-statement fold checks and stores one integer form, the
+        result's; building each statement's structure first made 31."""
+        rng = random.Random(71)
+        frame = Frame("abcdef")
+        kb = KnowledgeBase(frame, "V", tuple(
+            Typical(frame.from_bits(1 | rng.randrange(64)),
+                    F(rng.randint(50, 99), 100)) for _ in range(30)))
+        built = []
+        store = BeliefStructure._set
+        monkeypatch.setattr(BeliefStructure, "_set", lambda self, *args:
+                            built.append(args) or store(self, *args))
+        m = infer(kb)
+        assert len(built) == 1
+        assert structure_bits(m) == oracle_fold(
+            [statement_structure(frame, s) for s in kb.statements],
+            DEMPSTER)[1]
+
+
 class TestInferOracle:
     """infer runs one integer fold; an oracle_combine fold is the judge."""
 
@@ -423,14 +473,15 @@ class TestInferOracle:
 
 @pytest.fixture
 def folds(monkeypatch):
-    """Counts the folds infer runs, by wrapping the combine_all it calls."""
+    """Counts the folds infer runs, by wrapping the _fold it calls."""
     calls = []
+    fold = kb_module._fold
 
-    def counting(structures, rule=DEMPSTER):
+    def counting(frame, forms, rule):
         calls.append(rule)
-        return combine_all(structures, rule)
+        return fold(frame, forms, rule)
 
-    monkeypatch.setattr(kb_module, "combine_all", counting)
+    monkeypatch.setattr(kb_module, "_fold", counting)
     return calls
 
 
