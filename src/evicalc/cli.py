@@ -1,14 +1,16 @@
 """Command-line front end.
 
+The grammar is one table, COMMANDS, read by :func:`parse_args` with no
+argparse: an option's value follows it or its "=", options may come before,
+among or after the positionals, and a repeated option's last value wins.
 Exit codes: 0 on success, 1 on I/O or parse errors (bad files, or a reader
-that closes the output pipe early), 2 on domain errors (total conflict, or a
-false answer under --assert).  Output is deterministic byte-for-byte for
-identical inputs and flags.
+that closes the output pipe early), 2 on usage errors and domain errors
+(total conflict, or a false answer under --assert).  Output is
+deterministic byte-for-byte for identical inputs and flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -40,22 +42,6 @@ def _load(path: str, parse):
         raise _LoadFailure(path, exc) from exc
 
 
-class _Parser(argparse.ArgumentParser):
-    """Ends a usage error in one bounded ``error:`` line and status 2."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._argv = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message: str):
-        values = {v for a in self._argv for v in (a, a.partition("=")[2])}
-        for value in sorted(values, key=len, reverse=True):
-            if len(value) > 99:
-                message = message.replace(repr(value), _text(value))
-                message = message.replace(value, _text(value))
-        self.exit(2, f"error: {' '.join(message.split())}\n")
-
-
 def _parse_any(text: str) -> BeliefStructure | KnowledgeBase:
     if io.sniff_kind(text) == "structure":
         return io.loads_structure(text)
@@ -76,35 +62,36 @@ def _interval_text(m: BeliefStructure, target: FocalSet) -> str:
 
 
 def _cmd_validate(args) -> int:
-    m = _load(args.path, io.loads_structure)
+    m = _load(args["path"], io.loads_structure)
     sys.stdout.write(io.format_structure(m))
     return 0
 
 
-def _cmd_query(args) -> int:
-    rule = parse_rule(args.rule)
-    loaded = _load(args.path, args.parse)
+def _cmd_query(args, parse=_parse_any) -> int:
+    rule = parse_rule(args["--rule"])
+    loaded = _load(args["path"], parse)
     # Compute first, so that a run ending in an error prints no partial answer
     if isinstance(loaded, KnowledgeBase):
         m = infer(loaded, rule)
         head = f"variable: {loaded.variable}\nrule: {rule}\n"
     else:
         m, head = loaded, ""
-    sys.stdout.write(head + _interval_text(m, _parse_set(args.set, m.frame)))
+    target = _parse_set(args["--set"], m.frame)
+    sys.stdout.write(head + _interval_text(m, target))
     return 0
 
 
 def _cmd_combine(args) -> int:
-    rule = parse_rule(args.rule)
-    structures = [_load(path, io.loads_structure) for path in args.paths]
+    rule = parse_rule(args["--rule"])
+    structures = [_load(path, io.loads_structure) for path in args["paths"]]
     if len(structures) == 2:
         result, conflict = _combine_with_conflict(*structures, rule)
         head = f"rule: {rule}\nconflict: {io.format_mass(conflict)}\n"
     else:
         result, head = combine_all(structures, rule), f"rule: {rule}\n"
     answer = head + io.format_structure(result)
-    if args.out:  # written first: a failing write leaves stdout empty
-        _write(args.out, io.dumps_structure(result))
+    if args["--out"]:  # written first: a failing write leaves stdout empty
+        _write(args["--out"], io.dumps_structure(result))
     sys.stdout.write(answer)
     return 0
 
@@ -119,23 +106,23 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_entails(args) -> int:
-    m1 = _load(args.path1, io.loads_structure)
-    m2 = _load(args.path2, io.loads_structure)
+    m1 = _load(args["path1"], io.loads_structure)
+    m2 = _load(args["path2"], io.loads_structure)
     # Decide first, so that a run ending in an error prints no partial answer
-    if args.mode == "interval":
+    if args["--mode"] == "interval":
         verdict, violator = interval_contained(m1, m2)
         answer = f"contained: {'true' if verdict else 'false'}\n"
         if violator is not None:
             answer += f"violating set: {violator.label()}\n"
     else:
-        check = flow_entails if args.mode == "flow" else partition_entails
+        check = flow_entails if args["--mode"] == "flow" else partition_entails
         witness = check(m1, m2)
         verdict = witness is not None
         answer = f"entails: {'true' if verdict else 'false'}\n"
         if verdict:
             answer += io.format_witness(witness)
-    sys.stdout.write(f"mode: {args.mode}\n{answer}")
-    return 2 if args.assert_ and not verdict else 0
+    sys.stdout.write(f"mode: {args['--mode']}\n{answer}")
+    return 2 if args["--assert"] and not verdict else 0
 
 
 def _cmd_monotone(args) -> int:
@@ -143,27 +130,27 @@ def _cmd_monotone(args) -> int:
     # dataclasses, and the other commands start sooner without dataclasses.
     from .monotonicity import pairwise_survey
 
-    rules = [parse_rule(name) for name in args.rules.split(",")]
-    m1 = _load(args.path1, io.loads_structure)
-    m2 = _load(args.path2, io.loads_structure)
+    rules = [parse_rule(name) for name in args["--rules"].split(",")]
+    m1 = _load(args["path1"], io.loads_structure)
+    m2 = _load(args["path2"], io.loads_structure)
     reports = pairwise_survey(m1, m2, rules)
     print(json.dumps([io.report_to_obj(r) for r in reports], indent=2))
     return 0
 
 
 def _cmd_kb_infer(args) -> int:
-    rule = parse_rule(args.rule)
-    kb = _load(args.path, parse_kb)
+    rule = parse_rule(args["--rule"])
+    kb = _load(args["path"], parse_kb)
     head = f"variable: {kb.variable}\nrule: {rule}\n"
-    if args.weaken_to is not None:
-        target = _parse_set(args.weaken_to, kb.frame)
+    if args["--weaken-to"] is not None:
+        target = _parse_set(args["--weaken-to"], kb.frame)
         head += f"weaken to: {target.label()}\n"
         result = typical_summary(kb, rule, target)
     else:
         result = infer(kb, rule)
     answer = head + io.format_structure(result)
-    if args.out:  # written first: a failing write leaves stdout empty
-        _write(args.out, io.dumps_structure(result))
+    if args["--out"]:  # written first: a failing write leaves stdout empty
+        _write(args["--out"], io.dumps_structure(result))
     sys.stdout.write(answer)
     return 0
 
@@ -171,98 +158,108 @@ def _cmd_kb_infer(args) -> int:
 def _cmd_sweep(args) -> int:
     from .monotonicity import sweep, sweep_csv
 
-    rule = parse_rule(args.rule)
-    alphas = [part.strip() for part in args.alphas.split(",")]
-    betas = [part.strip() for part in args.betas.split(",")]
-    rows = sweep(alphas, betas, disjoint=not args.overlap, rule=rule)
-    if args.out:
-        _write(args.out, sweep_csv(rows))
+    rule = parse_rule(args["--rule"])
+    alphas = [part.strip() for part in args["--alphas"].split(",")]
+    betas = [part.strip() for part in args["--betas"].split(",")]
+    rows = sweep(alphas, betas, disjoint=not args["--overlap"], rule=rule)
+    if args["--out"]:
+        _write(args["--out"], sweep_csv(rows))
     else:
         sys.stdout.write(sweep_csv(rows))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="evicalc",
-        description="Exact-arithmetic belief structures: combination, "
-                    "entailment, monotonicity analysis, and default "
-                    "knowledge bases.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command-line grammar: each command's handler, its positionals and its
+# options.  An option maps to its default: REQUIRED when it must be given, or
+# False for a flag, which is True once given.  A trailing "..." takes any
+# number more positionals, and all of them as "paths".  Only --mode has
+# CHOICES.  USAGE, printed by -h or --help anywhere, restates the table.
+REQUIRED = object()
+QUERY = {"--set": REQUIRED, "--rule": "dempster"}
+COMMANDS = {
+    "validate": (_cmd_validate, ("path",), {}),
+    "query": (_cmd_query, ("path",), QUERY),
+    "combine": (_cmd_combine, ("path1", "path2", "..."),
+                {"--rule": REQUIRED, "--out": None}),
+    "entails": (_cmd_entails, ("path1", "path2"),
+                {"--mode": "flow", "--assert": False}),
+    "monotone": (_cmd_monotone, ("path1", "path2"), {"--rules": REQUIRED}),
+    "kb-infer": (_cmd_kb_infer, ("path",),
+                 {"--rule": "dempster", "--weaken-to": None, "--out": None}),
+    "kb-query": (lambda args: _cmd_query(args, parse_kb), ("path",), QUERY),
+    "sweep": (_cmd_sweep, (), {"--alphas": REQUIRED, "--betas": REQUIRED,
+                               "--overlap": False, "--rule": REQUIRED,
+                               "--out": None}),
+}
+CHOICES = {"--mode": ("flow", "partition", "interval")}
+USAGE = """\
+usage: evicalc validate PATH
+       evicalc query PATH --set A,B [--rule R]
+       evicalc combine PATH PATH [PATH ...] --rule R [-o OUT]
+       evicalc entails PATH PATH [--mode flow|partition|interval] [--assert]
+       evicalc monotone PATH PATH --rules R1,R2
+       evicalc kb-infer PATH [--rule R] [--weaken-to A,B] [-o OUT]
+       evicalc kb-query PATH --set A,B [--rule R]
+       evicalc sweep --alphas S1,S2 --betas S1,S2 [--overlap] --rule R [-o OUT]
+An option's value follows it or its "="; -o is --out; -h prints this text.
+"""
 
-    p = sub.add_parser("validate", help="check and display a stored "
-                                        "belief structure")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("query", help="belief/plausibility interval of a set")
-    p.add_argument("path", help="belief-structure JSON or knowledge-base "
-                                "text file")
-    p.add_argument("--set", required=True,
-                   help="comma-separated atom names")
-    p.add_argument("--rule", default="dempster",
-                   help="combination rule (knowledge-base input only)")
-    p.set_defaults(func=_cmd_query, parse=_parse_any)
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("combine", help="combine stored belief structures")
-    p.add_argument("paths", nargs="+")
-    p.add_argument("--rule", required=True)
-    p.add_argument("-o", "--out", help="write the result as JSON")
-    p.set_defaults(func=_cmd_combine)
 
-    p = sub.add_parser("entails", help="does the first structure entail "
-                                       "the second?")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.add_argument("--mode", choices=["flow", "partition", "interval"],
-                   default="flow")
-    p.add_argument("--assert", dest="assert_", action="store_true",
-                   help="exit 2 when the answer is no")
-    p.set_defaults(func=_cmd_entails)
+def _choice(name: str, value: str, choices) -> str:
+    if value not in choices:
+        _usage_error(f"argument {name}: invalid choice: {_text(value)} "
+                     f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
-    p = sub.add_parser("monotone", help="monotonicity reports for a pair "
-                                        "under several rules")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.add_argument("--rules", required=True,
-                   help="comma-separated rule names")
-    p.set_defaults(func=_cmd_monotone)
 
-    p = sub.add_parser("kb-infer", help="combine a knowledge base's "
-                                        "statements")
-    p.add_argument("path")
-    p.add_argument("--rule", default="dempster")
-    p.add_argument("--weaken-to", metavar="SET",
-                   help="summarize the result as 'typically SET'")
-    p.add_argument("-o", "--out", help="write the result as JSON")
-    p.set_defaults(func=_cmd_kb_infer)
-
-    p = sub.add_parser("kb-query", help="probability interval a knowledge "
-                                        "base assigns to a set")
-    p.add_argument("path")
-    p.add_argument("--set", required=True)
-    p.add_argument("--rule", default="dempster")
-    p.set_defaults(func=_cmd_query, parse=parse_kb)
-
-    p = sub.add_parser("sweep", help="grid study of the two-focal family")
-    p.add_argument("--alphas", required=True,
-                   help="comma-separated strengths for the first structure")
-    p.add_argument("--betas", required=True,
-                   help="comma-separated strengths for the second structure")
-    p.add_argument("--overlap", action="store_true",
-                   help="use the overlapping family instead of the "
-                        "disjoint one")
-    p.add_argument("--rule", required=True)
-    p.add_argument("-o", "--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_sweep)
-
-    return parser
+def parse_args(argv: list[str]):
+    """The handler and the arguments, by positional or option name, that
+    ``argv`` gives under COMMANDS.  A usage error prints one ``error:`` line
+    (argv values in it shown by ``errors._text``) and exits 2."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    handler, positionals, options = COMMANDS[
+        _choice("command", argv[0], COMMANDS)]
+    values, given, tokens = dict(options), [], iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        name = "--out" if name == "-o" else name
+        if len(token) < 2 or token[0] != "-":
+            given.append(token)
+        elif name not in options or eq and options[name] is False:
+            _usage_error(f"unrecognized argument: {_text(token)}")
+        elif options[name] is False:
+            values[name] = True
+        else:  # a value option takes the next token, whatever it is
+            value = value if eq else next(tokens, None)
+            if value is None:
+                _usage_error(f"argument {name}: expected one argument")
+            values[name] = _choice(name, value, CHOICES.get(name, [value]))
+    named = [p for p in positionals if p != "..."]
+    missing = named[len(given):] + [n for n, v in values.items()
+                                    if v is REQUIRED]
+    if missing:
+        _usage_error(f"the following arguments are required: "
+                     f"{', '.join(missing)}")
+    if len(given) > len(named) and "..." not in positionals:
+        _usage_error(f"unrecognized argument: {_text(given[len(named)])}")
+    values.update({"paths": given} if "..." in positionals
+                  else zip(named, given))
+    return handler, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -137,6 +137,7 @@ def _fold(frame: Frame, forms: Iterable[tuple[dict[int, int], int]],
     one structure at the end, and the last step's conflict numerator K
     (None under discount, which builds no product table)."""
     forms = iter(forms)
+    full = frame.full.bits  # read once: each read builds a new FocalSet
     nums, den = next(forms)
     conflict = None
     for index, (n2, d2) in enumerate(forms, start=2):
@@ -152,7 +153,7 @@ def _fold(frame: Frame, forms: Iterable[tuple[dict[int, int], int]],
             den *= q * d2
         elif rule.kind in _CONFLICT_TARGET:
             nums, conflict = _product(nums, n2, _CONFLICT_TARGET[rule.kind],
-                                      frame.full.bits)
+                                      full)
             # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
             den = den * d2 - (conflict if rule.kind == "dempster" else 0)
             if not den:

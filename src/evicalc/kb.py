@@ -30,8 +30,9 @@ import re
 from fractions import Fraction
 
 from .combine import DEMPSTER, CombinationRule, _fold
-from .core import (BeliefStructure, FocalSet, Frame, ProbabilityInterval,
-                   _check_frame, _num_text, _Value, to_mass)
+from .core import (BeliefStructure, FocalSet, Frame, MassLike,
+                   ProbabilityInterval, _check_frame, _num_text, _parse_mass,
+                   _Value)
 from .entailment import weaken_to
 from .errors import (
     MissingFrame,
@@ -59,9 +60,10 @@ class Typical(_Value):
 
     _fields = ("set", "strength")
 
-    def __init__(self, set: FocalSet, strength: Fraction):
+    def __init__(self, set: FocalSet, strength: MassLike):
         if set.is_empty:
             raise ValueError("a statement set must be non-empty")
+        strength = _parse_mass(strength)  # 0.99 is 99/100, as in to_mass
         if not 0 < strength < 1:
             hint = ("; write an absolute statement instead"
                     if strength == 1 else "")
@@ -221,7 +223,7 @@ def _statement_form(stmt: Statement, full: int):
     b = stmt.set.bits
     if isinstance(stmt, Absolute):
         return {b: 1}, 1
-    n, d = to_mass(stmt.strength).as_integer_ratio()  # 0.99 is 99/100
+    n, d = stmt.strength.as_integer_ratio()
     return ({b: n, full: d - n} if b != full else {full: d}), d
 
 

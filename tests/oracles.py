@@ -7,6 +7,7 @@ against a second, separately written path.
 
 from __future__ import annotations
 
+import argparse
 import random
 from collections import deque
 from fractions import Fraction
@@ -405,3 +406,65 @@ def subset_sum_trap(frame: Frame) -> tuple[BeliefStructure, BeliefStructure]:
     general = BeliefStructure(frame, [(frame.from_bits(inner), Fraction(1, 2)),
                                       (frame.full, Fraction(1, 2))])
     return specific, general
+
+
+class ArgvRefused(Exception):
+    """The argparse oracle refused a command line."""
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ArgvRefused(message)
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The command-line grammar as argparse declared it before evicalc
+    read argv itself, help texts left out and prefix abbreviations off.
+    ``parse_args`` gives a Namespace, or raises ArgvRefused."""
+    parser = _OracleParser(prog="evicalc", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", allow_abbrev=False)
+    p.add_argument("path")
+
+    p = sub.add_parser("query", allow_abbrev=False)
+    p.add_argument("path")
+    p.add_argument("--set", required=True)
+    p.add_argument("--rule", default="dempster")
+
+    p = sub.add_parser("combine", allow_abbrev=False)
+    p.add_argument("paths", nargs="+")
+    p.add_argument("--rule", required=True)
+    p.add_argument("-o", "--out")
+
+    p = sub.add_parser("entails", allow_abbrev=False)
+    p.add_argument("path1")
+    p.add_argument("path2")
+    p.add_argument("--mode", choices=["flow", "partition", "interval"],
+                   default="flow")
+    p.add_argument("--assert", dest="assert_", action="store_true")
+
+    p = sub.add_parser("monotone", allow_abbrev=False)
+    p.add_argument("path1")
+    p.add_argument("path2")
+    p.add_argument("--rules", required=True)
+
+    p = sub.add_parser("kb-infer", allow_abbrev=False)
+    p.add_argument("path")
+    p.add_argument("--rule", default="dempster")
+    p.add_argument("--weaken-to")
+    p.add_argument("-o", "--out")
+
+    p = sub.add_parser("kb-query", allow_abbrev=False)
+    p.add_argument("path")
+    p.add_argument("--set", required=True)
+    p.add_argument("--rule", default="dempster")
+
+    p = sub.add_parser("sweep", allow_abbrev=False)
+    p.add_argument("--alphas", required=True)
+    p.add_argument("--betas", required=True)
+    p.add_argument("--overlap", action="store_true")
+    p.add_argument("--rule", required=True)
+    p.add_argument("-o", "--out")
+
+    return parser

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import evicalc
 from evicalc import BeliefStructure, Frame, entailment, io
-from evicalc.cli import main
+from evicalc import cli
+from evicalc.cli import main, parse_args
 
-from oracles import subset_sum_trap
+from oracles import ArgvRefused, argparse_oracle, subset_sum_trap
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -551,7 +552,8 @@ class TestNonAsciiDigits:
 
 
 def usage(capsys, *argv):
-    """Run a command line that argparse ends; its status, stdout, stderr."""
+    """Run a command line that ends before any command runs (a usage error
+    or -h); its status, stdout, stderr."""
     with pytest.raises(SystemExit) as stop:
         main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -559,8 +561,9 @@ def usage(capsys, *argv):
 
 
 class TestUsageErrors:
-    """A command line that argparse refuses ends in exit status 2, an empty
-    stdout and one ``error:`` line, with a long value shown by its length."""
+    """A command line that the parser refuses ends in exit status 2, an
+    empty stdout and one ``error:`` line, with a long value shown by its
+    length."""
 
     @pytest.mark.parametrize("argv, start", [
         (["entails", "a.bs", "b.bs", "--mode", "bogus"],
@@ -581,6 +584,58 @@ class TestUsageErrors:
         code, out, err = usage(capsys, "-h")
         assert (code, err) == (0, "")
         assert out.startswith("usage: evicalc")
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["combine", "-h"], ["sweep", "--rule", "yager", "--help"]])
+    def test_help_names_every_command_and_option(self, capsys, argv):
+        code, out, err = usage(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        for command, (_, _, options) in cli.COMMANDS.items():
+            line, = [ln for ln in lines if f"evicalc {command} " in ln]
+            assert all(name in line for name in options if name != "--out")
+            assert ("--out" in options) == ("[-o OUT]" in line)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["combine", "a.bs", "b.bs", "--ru", "dempster"],
+         "unrecognized argument: '--ru'"),
+        (["validate", "--", "a.bs"], "unrecognized argument: '--'"),
+        (["combine", "a.bs", "b.bs", "--rule", "dempster", "-oout.bs"],
+         "unrecognized argument: '-oout.bs'"),
+        (["combine", "a.bs", "--rule", "dempster"],
+         "the following arguments are required: path2"),
+        (["entails", "a.bs", "b.bs", "--assert=yes"],
+         "unrecognized argument: '--assert=yes'"),
+        (["validate", "a.bs", "b.bs"], "unrecognized argument: 'b.bs'"),
+        (["sweep", "--alphas", "1/2", "--betas", "1/2", "--rule"],
+         "argument --rule: expected one argument"),
+        ([], "the following arguments are required: command"),
+    ], ids=["prefix", "end-of-options", "attached-short-value",
+            "one-combine-path", "flag-value", "extra-path", "no-value",
+            "no-command"])
+    def test_dropped_and_refused_forms(self, capsys, argv, message):
+        """Forms argparse read (a unique prefix, "--" ending the options,
+        -oPATH, one combine path) and forms it refused: one line, exit 2."""
+        code, out, err = usage(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["combine", "a.bs", "--rule=yager", "b.bs", "c.bs", "-o", "x.bs"],
+         {"paths": ["a.bs", "b.bs", "c.bs"], "--rule": "yager",
+          "--out": "x.bs"}),
+        (["kb-infer", "-o=x.bs", "--rule", "a", "--rule", "b", "k.kb"],
+         {"path": "k.kb", "--rule": "b", "--weaken-to": None,
+          "--out": "x.bs"}),
+        (["sweep", "--alphas", "-1/2", "--betas=", "--rule", "--out",
+          "--overlap"],
+         {"--alphas": "-1/2", "--betas": "", "--rule": "--out",
+          "--overlap": True, "--out": None}),
+    ], ids=["interleaved", "last-wins", "values-taken-as-given"])
+    def test_accepted_forms(self, argv, expected):
+        handler, args = parse_args(argv)
+        assert handler is cli.COMMANDS[argv[0]][0]
+        assert args == expected
 
 
 class TestImports:
@@ -607,6 +662,24 @@ class TestImports:
                            "& sys.modules.keys()))", flags=("-S",))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_cli_leaves_argparse_out(self):
+        # argparse, shutil and gettext stay out (without site, which may
+        # import them itself) after the import, a command and -h
+        done = self.python(
+            "import sys\n"
+            "import evicalc.cli\n"
+            "names = {'argparse', 'shutil', 'gettext'}\n"
+            "seen = [sorted(names & sys.modules.keys())]\n"
+            "evicalc.cli.main(['validate', sys.argv[1]])\n"
+            "seen.append(sorted(names & sys.modules.keys()))\n"
+            "try:\n"
+            "    evicalc.cli.main(['-h'])\n"
+            "except SystemExit as stop:\n"
+            "    seen.append((stop.code, sorted(names & sys.modules.keys())))\n"
+            "print(seen)\n", DATA / "desk_a.bs", flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[[], [], (0, [])]"
 
     def test_monotonicity_loads_on_first_use(self):
         done = self.python(
@@ -828,8 +901,8 @@ class TestFuzz:
     @given(malformed_argv())
     @settings(max_examples=300, deadline=None)
     def test_malformed_argv_is_one_usage_line(self, argv):
-        """A command line argparse refuses exits 2 with an empty stdout and
-        one ``error:`` line, each long value shown by its length; one it
+        """A command line the parser refuses exits 2 with an empty stdout
+        and one ``error:`` line, each long value shown by its length; one it
         accepts keeps the contract above.  Runs in an empty directory, so
         that no path names a file and an -o writes nowhere else."""
         cwd = os.getcwd()
@@ -857,3 +930,64 @@ class TestFuzz:
             assert not usage_error or (code == 2 and len(err) < 1000)
         else:
             assert err == b""
+
+
+# The grammar as the README states it, written out independently of
+# cli.COMMANDS: each command's positional count and its options, True for
+# a flag.  combine reads two or more paths.
+GRAMMAR = {
+    "validate": (st.just(1), {}),
+    "query": (st.just(1), {"--set": False, "--rule": False}),
+    "combine": (st.integers(2, 4), {"--rule": False, "--out": False}),
+    "entails": (st.just(2), {"--mode": False, "--assert": True}),
+    "monotone": (st.just(2), {"--rules": False}),
+    "kb-infer": (st.just(1), {"--rule": False, "--weaken-to": False,
+                              "--out": False}),
+    "kb-query": (st.just(1), {"--set": False, "--rule": False}),
+    "sweep": (st.just(0), {"--alphas": False, "--betas": False,
+                           "--overlap": True, "--rule": False,
+                           "--out": False}),
+}
+VALUES = st.one_of(
+    st.sampled_from(["flow", "partition", "interval", "a.bs", "x=y", "",
+                     "dempster", "1/2,3/4", "validate"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)).filter(
+        lambda value: not value.startswith("-"))
+ORACLE = argparse_oracle()
+
+
+@st.composite
+def grammar_argv(draw):
+    """A command line from GRAMMAR: its positionals and options in any
+    order, each option given 0 to 2 times in either spelling (-o too)."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    count, options = GRAMMAR[command]
+    groups = [[draw(VALUES)] for _ in range(draw(count))]
+    for name, flag in options.items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            spelled = draw(st.sampled_from(
+                [name, "-o"] if name == "--out" else [name]))
+            value = draw(VALUES)
+            groups.append([spelled] if flag
+                          else draw(st.sampled_from([[spelled, value],
+                                                     [f"{spelled}={value}"]])))
+    return [command, *(token for group in draw(st.permutations(groups))
+                       for token in group)]
+
+
+class TestArgparseOracle:
+    """The command table reads every command line of the grammar that
+    argparse read, to the same values."""
+
+    @given(grammar_argv())
+    @settings(max_examples=500, deadline=None)
+    def test_same_values_as_argparse(self, argv):
+        try:
+            expected = vars(ORACLE.parse_args(argv))
+        except ArgvRefused:
+            return
+        handler, args = parse_args(argv)
+        assert handler is cli.COMMANDS[expected.pop("command")][0]
+        assert args == {key if key.startswith("path")
+                        else "--" + key.rstrip("_").replace("_", "-"): value
+                        for key, value in expected.items()}

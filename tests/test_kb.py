@@ -401,6 +401,18 @@ class TestStatementForms:
         assert structure_bits(infer(kb, rule)) == \
             oracle_fold(compiled, rule)[1]
 
+    def test_strength_is_read_once_as_a_mass(self):
+        # the stored strength is the exact mass, so the text round-trips
+        f = Frame("abc")
+        kb = KnowledgeBase(f, "V", (Typical(f.subset(["a"]), 0.99),))
+        assert kb.statements[0].strength == F(99, 100)
+        assert parse_kb(serialize_kb(kb)) == kb
+        assert Typical(f.subset(["a"]), "1/2").strength == F(1, 2)
+        with pytest.raises(TypeError, match="bool"):
+            Typical(f.subset(["a"]), True)
+        with pytest.raises(StrengthOutOfRange, match="got -1/2"):
+            Typical(f.subset(["a"]), -0.5)
+
     def test_float_strength_is_read_as_its_decimal(self, frame5):
         # as to_mass reads a float mass: 0.99 is 99/100, not the binary
         # fraction nearest to it
