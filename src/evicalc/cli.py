@@ -6,7 +6,9 @@ among or after the positionals, and a repeated option's last value wins.
 Exit codes: 0 on success, 1 on I/O or parse errors (bad files, or a reader
 that closes the output pipe early), 2 on usage errors and domain errors
 (total conflict, or a false answer under --assert).  Output is
-deterministic byte-for-byte for identical inputs and flags.
+deterministic byte-for-byte for identical inputs and flags.  The handlers
+only decide; :func:`main` is the only writer of stdout and of the --out file,
+which it writes first, so a failing run or write leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -61,27 +63,25 @@ def _interval_text(m: BeliefStructure, target: FocalSet) -> str:
             f"pl = {io.format_mass(upper)}\nrange = {width}\n")
 
 
-def _cmd_validate(args) -> int:
+# Each handler returns (stdout text, --out file text or None, exit code).
+def _cmd_validate(args) -> tuple:
     m = _load(args["path"], io.loads_structure)
-    sys.stdout.write(io.format_structure(m))
-    return 0
+    return io.format_structure(m), None, 0
 
 
-def _cmd_query(args, parse=_parse_any) -> int:
+def _cmd_query(args, parse=_parse_any) -> tuple:
     rule = parse_rule(args["--rule"])
     loaded = _load(args["path"], parse)
-    # Compute first, so that a run ending in an error prints no partial answer
     if isinstance(loaded, KnowledgeBase):
         m = infer(loaded, rule)
         head = f"variable: {loaded.variable}\nrule: {rule}\n"
     else:
         m, head = loaded, ""
     target = _parse_set(args["--set"], m.frame)
-    sys.stdout.write(head + _interval_text(m, target))
-    return 0
+    return head + _interval_text(m, target), None, 0
 
 
-def _cmd_combine(args) -> int:
+def _cmd_combine(args) -> tuple:
     rule = parse_rule(args["--rule"])
     structures = [_load(path, io.loads_structure) for path in args["paths"]]
     if len(structures) == 2:
@@ -89,26 +89,13 @@ def _cmd_combine(args) -> int:
         head = f"rule: {rule}\nconflict: {io.format_mass(conflict)}\n"
     else:
         result, head = combine_all(structures, rule), f"rule: {rule}\n"
-    answer = head + io.format_structure(result)
-    if args["--out"]:  # written first: a failing write leaves stdout empty
-        _write(args["--out"], io.dumps_structure(result))
-    sys.stdout.write(answer)
-    return 0
+    saved = io.dumps_structure(result) if args["--out"] else None
+    return head + io.format_structure(result), saved, 0
 
 
-def _write(path: str, text: str) -> None:
-    """Write an output file; a failure exits with status 1."""
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as exc:
-        raise _LoadFailure(path, exc) from exc
-
-
-def _cmd_entails(args) -> int:
+def _cmd_entails(args) -> tuple:
     m1 = _load(args["path1"], io.loads_structure)
     m2 = _load(args["path2"], io.loads_structure)
-    # Decide first, so that a run ending in an error prints no partial answer
     if args["--mode"] == "interval":
         verdict, violator = interval_contained(m1, m2)
         answer = f"contained: {'true' if verdict else 'false'}\n"
@@ -121,11 +108,11 @@ def _cmd_entails(args) -> int:
         answer = f"entails: {'true' if verdict else 'false'}\n"
         if verdict:
             answer += io.format_witness(witness)
-    sys.stdout.write(f"mode: {args['--mode']}\n{answer}")
-    return 2 if args["--assert"] and not verdict else 0
+    code = 2 if args["--assert"] and not verdict else 0
+    return f"mode: {args['--mode']}\n{answer}", None, code
 
 
-def _cmd_monotone(args) -> int:
+def _cmd_monotone(args) -> tuple:
     # Imported here and in _cmd_sweep only: monotonicity's reports are
     # dataclasses, and the other commands start sooner without dataclasses.
     from .monotonicity import pairwise_survey
@@ -133,12 +120,11 @@ def _cmd_monotone(args) -> int:
     rules = [parse_rule(name) for name in args["--rules"].split(",")]
     m1 = _load(args["path1"], io.loads_structure)
     m2 = _load(args["path2"], io.loads_structure)
-    reports = pairwise_survey(m1, m2, rules)
-    print(json.dumps([io.report_to_obj(r) for r in reports], indent=2))
-    return 0
+    reports = [io.report_to_obj(r) for r in pairwise_survey(m1, m2, rules)]
+    return json.dumps(reports, indent=2) + "\n", None, 0
 
 
-def _cmd_kb_infer(args) -> int:
+def _cmd_kb_infer(args) -> tuple:
     rule = parse_rule(args["--rule"])
     kb = _load(args["path"], parse_kb)
     head = f"variable: {kb.variable}\nrule: {rule}\n"
@@ -148,25 +134,19 @@ def _cmd_kb_infer(args) -> int:
         result = typical_summary(kb, rule, target)
     else:
         result = infer(kb, rule)
-    answer = head + io.format_structure(result)
-    if args["--out"]:  # written first: a failing write leaves stdout empty
-        _write(args["--out"], io.dumps_structure(result))
-    sys.stdout.write(answer)
-    return 0
+    saved = io.dumps_structure(result) if args["--out"] else None
+    return head + io.format_structure(result), saved, 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     from .monotonicity import sweep, sweep_csv
 
     rule = parse_rule(args["--rule"])
     alphas = [part.strip() for part in args["--alphas"].split(",")]
     betas = [part.strip() for part in args["--betas"].split(",")]
     rows = sweep(alphas, betas, disjoint=not args["--overlap"], rule=rule)
-    if args["--out"]:
-        _write(args["--out"], sweep_csv(rows))
-    else:
-        sys.stdout.write(sweep_csv(rows))
-    return 0
+    csv = sweep_csv(rows)
+    return ("", csv, 0) if args["--out"] else (csv, None, 0)
 
 
 # The command-line grammar: each command's handler, its positionals and its
@@ -259,7 +239,14 @@ def parse_args(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = handler(args)
+        answer, saved, code = handler(args)
+        if saved is not None:
+            try:
+                with open(args["--out"], "w", encoding="utf-8") as f:
+                    f.write(saved)
+            except OSError as exc:
+                raise _LoadFailure(args["--out"], exc) from exc
+        sys.stdout.write(answer)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

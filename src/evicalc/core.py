@@ -310,7 +310,8 @@ def _check_frame(frame: Frame, value, kind: type = FocalSet) -> None:
     be a ``kind`` (a FocalSet, or a BeliefStructure to pair with one on
     ``frame``) bound to ``frame``."""
     if not isinstance(value, kind):
-        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        raise TypeError(f"expected {kind.__name__}, "
+                        f"got {type(value).__name__}")
     if value.frame != frame:
         raise FrameMismatch(f"frames differ: {_frame_text(frame)} vs "
                             f"{_frame_text(value.frame)}")

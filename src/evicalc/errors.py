@@ -39,7 +39,7 @@ class MassSumNotOne(EvicalcError):
 
 
 class EmptyFocalInNormal(EvicalcError):
-    """The empty set carried mass but the structure was not flagged subnormal."""
+    """The empty set carried mass in a structure not flagged subnormal."""
 
 
 class SubnormalInput(EvicalcError):

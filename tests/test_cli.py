@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -359,6 +360,17 @@ class TestCombine:
             f"error: {path}: FileNotFoundError: [Errno 2] No such file or "
             f"directory: '{path}'"]
 
+    @pytest.mark.parametrize("argv", [
+        ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+         "--rule", "yager"),
+        ("kb-infer", DATA / "kb_equal_half.kb")])
+    def test_file_text_is_built_only_for_out(self, capsys, monkeypatch,
+                                             argv):
+        monkeypatch.setattr(io, "dumps_structure", None)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
 
 class TestEntails:
     def test_flow_witness_for_hedge(self, capsys):
@@ -681,6 +693,25 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[[], [], (0, [])]"
 
+    def test_commands_leave_dataclasses_out(self):
+        # only monotone and sweep load monotonicity, whose reports are
+        # dataclasses (with inspect); without site, which may import them
+        # itself, the other commands run without any of the three
+        done = self.python(
+            "import sys\n"
+            "from evicalc.cli import main\n"
+            "a, b, kb = sys.argv[1:]\n"
+            "codes = [main(['validate', a]),\n"
+            "         main(['query', a, '--set', 'a']),\n"
+            "         main(['combine', a, b, '--rule', 'yager']),\n"
+            "         main(['entails', a, b]), main(['kb-infer', kb])]\n"
+            "print(codes, sorted({'dataclasses', 'inspect', "
+            "'evicalc.monotonicity'} & sys.modules.keys()))\n",
+            DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+            DATA / "kb_equal_half.kb", flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
     def test_monotonicity_loads_on_first_use(self):
         done = self.python(
             "import sys, evicalc; "
@@ -778,10 +809,11 @@ def mostly(draw, good, bad):
 
 
 @st.composite
-def structure_texts(draw):
-    """A belief-structure document on a frame of 1 to 5 atoms; most are
-    well formed, the rest carry junk names or masses."""
-    n = draw(st.integers(1, 5))
+def structure_texts(draw, n=None):
+    """A belief-structure document on a frame of ``n`` atoms (drawn from 1
+    to 5 when not given); most are well formed, the rest carry junk names
+    or masses."""
+    n = draw(st.integers(1, 5)) if n is None else n
     if draw(st.integers(0, 3)):  # three in four, as in mostly()
         atoms = list("abcde"[:n])
         masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1,
@@ -821,15 +853,23 @@ def kb_texts(draw):
 ANY_FILE = st.one_of(structure_texts(), kb_texts(), st.binary(max_size=40))
 
 
+OUT = "<the test's -o path>"
+
+
 @st.composite
 def cli_runs(draw):
     """A well-formed command line with fuzzed values, and its files: most
-    of the kind the command reads, the rest of any kind."""
+    of the kind the command reads, the rest of any kind.  OUT stands for a
+    path in the test's own directory."""
     command = draw(st.sampled_from(["validate", "query", "combine", "entails",
-                                    "kb-infer", "kb-query", "sweep"]))
-    count = {"combine": draw(st.integers(2, 3)), "entails": 2,
+                                    "monotone", "kb-infer", "kb-query",
+                                    "sweep"]))
+    count = {"combine": draw(st.integers(2, 3)), "entails": 2, "monotone": 2,
              "sweep": 0}.get(command, 1)
-    kind = kb_texts() if command.startswith("kb") else structure_texts()
+    # one frame size for all files, so that most combine, entails and
+    # monotone runs reach the computation
+    kind = (kb_texts() if command.startswith("kb")
+            else structure_texts(draw(st.integers(1, 5))))
     files = [mostly(draw, kind, ANY_FILE) for _ in range(count)]
     options = []
     if command in ("query", "kb-query"):
@@ -839,10 +879,21 @@ def cli_runs(draw):
     if command == "entails":
         options.append("--mode=" + draw(st.sampled_from(
             ["flow", "partition", "interval"])))
+        if draw(st.booleans()):
+            options.append("--assert")
+    if command == "monotone":
+        options.append("--rules=" + ",".join(
+            mostly(draw, RULES, BAD_RULES)
+            for _ in range(draw(st.integers(1, 3)))))
+    if command == "kb-infer" and draw(st.booleans()):
+        options.append("--weaken-to=" + mostly(draw, st.sampled_from(
+            ["a", "a,b", "b,c", "a,b,c"]), SET_VALUES))
     if command == "sweep":
         options.append("--alphas=" + ",".join(
             draw(st.lists(MASS_TEXTS, min_size=1, max_size=3))))
         options.append("--betas=1/2")
+    if command in ("combine", "kb-infer", "sweep") and draw(st.booleans()):
+        options += ["-o", OUT]
     return command, files, options
 
 
@@ -871,10 +922,13 @@ def malformed_argv(draw):
 
 class TestFuzz:
     """Any well-formed command line on any file ends in exit 0, 1 or 2; a
-    failure leaves stdout empty and prints exactly one ``error:`` line."""
+    failure leaves stdout empty, writes no -o file and prints exactly one
+    ``error:`` line.  The one non-zero exit with an answer is a false
+    verdict under ``entails --assert``: exit 2, the whole answer on stdout
+    and nothing on stderr."""
 
     @given(cli_runs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_every_run_ends_cleanly(self, run_args):
         command, files, options = run_args
         with tempfile.TemporaryDirectory() as tmp:
@@ -884,19 +938,34 @@ class TestFuzz:
                 with open(paths[-1], "wb") as f:
                     f.write(content if isinstance(content, bytes)
                             else content.encode("utf-8", "surrogatepass"))
+            out_path = os.path.join(tmp, "saved")
             # strict UTF-8, as on a terminal or a pipe
             out = TextIOWrapper(BytesIO(), "utf-8", write_through=True)
             err = TextIOWrapper(BytesIO(), "utf-8", write_through=True)
             with redirect_stdout(out), redirect_stderr(err):
-                code = main([command, *paths, *options])
+                code = main([command, *paths,
+                             *(out_path if o == OUT else o for o in options)])
+            saved = (Path(out_path).read_text(encoding="utf-8")
+                     if os.path.exists(out_path) else None)
         out, err = out.buffer.getvalue(), err.buffer.getvalue()
         assert code in (0, 1, 2)
-        if code:
+        assert (saved is not None) == (code == 0 and OUT in options)
+        if code and not err:
+            assert (command, code) == ("entails", 2) and "--assert" in options
+            assert re.fullmatch(rb"mode: (flow|partition)\nentails: false\n"
+                                rb"|mode: interval\ncontained: false\n"
+                                rb"violating set: \{.*\}\n", out)
+        elif code:
             assert out == b""
             assert err.startswith(b"error: ") and err.count(b"\n") == 1
             assert err.endswith(b"\n")
         else:
             assert err == b""
+        if saved is not None and command == "sweep":
+            assert out == b"" and saved.startswith("alpha,")
+        elif saved is not None:  # stdout ends with the structure saved
+            assert out.endswith(io.format_structure(
+                io.loads_structure(saved)).encode())
 
     @given(malformed_argv())
     @settings(max_examples=300, deadline=None)
