@@ -57,9 +57,9 @@ from . import io
 
 __version__ = "0.1.0"
 
-# Served on first use (PEP 562): monotonicity's reports are dataclasses,
-# and importing dataclasses (with inspect, ast and dis) would be a large
-# share of the start-up of every command that needs no report.
+# Served on first use (PEP 562): MonotonicityReport is a dataclass, and
+# importing dataclasses (with inspect, ast and dis) would be a large share
+# of the start-up of every command that needs no report.
 _MONOTONICITY = (
     "MonotonicityReport", "SweepRow", "canonical_pair", "monotonic_step",
     "pairwise_survey", "sweep", "sweep_csv",

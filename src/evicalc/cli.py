@@ -30,7 +30,8 @@ class _LoadFailure(Exception):
 
     def __init__(self, path: str, cause: Exception):
         # one bounded line: errors._text shows a long or unprintable path
-        shown = path if path.isprintable() and len(path) < 100 else _text(path)
+        shown = path if path.isprintable() and 0 < len(path) < 100 \
+            else _text(path)
         text = str(cause).replace(repr(path), _text(path))  # OSError quotes it
         super().__init__(f"{shown}: {type(cause).__name__}: {text}")
 
@@ -89,7 +90,7 @@ def _cmd_combine(args) -> tuple:
         head = f"rule: {rule}\nconflict: {io.format_mass(conflict)}\n"
     else:
         result, head = combine_all(structures, rule), f"rule: {rule}\n"
-    saved = io.dumps_structure(result) if args["--out"] else None
+    saved = io.dumps_structure(result) if args["--out"] is not None else None
     return head + io.format_structure(result), saved, 0
 
 
@@ -113,8 +114,8 @@ def _cmd_entails(args) -> tuple:
 
 
 def _cmd_monotone(args) -> tuple:
-    # Imported here and in _cmd_sweep only: monotonicity's reports are
-    # dataclasses, and the other commands start sooner without dataclasses.
+    # Imported here and in _cmd_sweep only: MonotonicityReport is a
+    # dataclass, and the other commands start sooner without dataclasses.
     from .monotonicity import pairwise_survey
 
     rules = [parse_rule(name) for name in args["--rules"].split(",")]
@@ -134,7 +135,7 @@ def _cmd_kb_infer(args) -> tuple:
         result = typical_summary(kb, rule, target)
     else:
         result = infer(kb, rule)
-    saved = io.dumps_structure(result) if args["--out"] else None
+    saved = io.dumps_structure(result) if args["--out"] is not None else None
     return head + io.format_structure(result), saved, 0
 
 
@@ -146,7 +147,7 @@ def _cmd_sweep(args) -> tuple:
     betas = [part.strip() for part in args["--betas"].split(",")]
     rows = sweep(alphas, betas, disjoint=not args["--overlap"], rule=rule)
     csv = sweep_csv(rows)
-    return ("", csv, 0) if args["--out"] else (csv, None, 0)
+    return ("", csv, 0) if args["--out"] is not None else (csv, None, 0)
 
 
 # The command-line grammar: each command's handler, its positionals and its
@@ -268,6 +269,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

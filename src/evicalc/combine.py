@@ -38,10 +38,7 @@ class CombinationRule(_Value):
     """A tagged combination rule; ``param`` is the discount weight c."""
 
     _fields = ("kind", "param")
-
-    def __init__(self, kind: str, param: Fraction | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
+    _defaults = (None,)
 
     def __str__(self) -> str:
         if self.kind == "discount":

@@ -126,22 +126,39 @@ class _Value:
     """Base of the frozen value types, built without ``dataclasses``.
 
     A subclass lists its fields in ``_fields``, in declaration order, and
-    its own ``__init__`` runs its checks and then sets each field with
-    ``object.__setattr__``.  The base gives what ``@dataclass(frozen=True)``
-    gives: ``==`` between instances of one class with equal fields, ``hash``
-    of the tuple of fields, a ``Name(field=value, ...)`` repr, and an
-    ``AttributeError`` on assignment or deletion.  Pickle and copy rebuild
-    an instance through ``__init__``, so its checks run again.  Nothing is
-    generated with ``exec``: defining a class costs what any class costs.
+    the defaults of the last ones in ``_defaults``.  The base gives what
+    ``@dataclass(frozen=True)`` gives: a constructor that binds the fields
+    by position or keyword, ``==`` within one class, ``hash`` of the field
+    tuple, a ``Name(field=value, ...)`` repr, no assignment or deletion,
+    and pickle and copy through ``__init__``, with no ``exec``.
 
-    Every value type but monotonicity's reports derives from it.  Besides
-    some reprs, the overrides that remain are ``Frame.__eq__``, which tests
-    identity first on the hot path, and ``BeliefStructure``'s
-    ``__reduce__``, through the integer form, and ``__hash__ = None``.
+    ``Frame``, ``FocalSet``, ``Absolute``, ``Typical``, ``KnowledgeBase``
+    and ``BeliefStructure`` check their input on the fold's hot path, so
+    each keeps its own ``__init__``, faster there than the generic one; the
+    other types only hold fields.  Also overridden: some reprs,
+    ``Frame.__eq__`` (identity first), ``BeliefStructure.__reduce__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields")
+        values = dict(zip(fields[::-1], self._defaults[::-1]))
+        values.update(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or fields.index(key) < len(args):
+                raise TypeError(f"{name} got field {key!r} twice"
+                                if key in fields else
+                                f"{name} has no field {key!r}")
+        values.update(kwargs)
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name} is missing field {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -355,10 +372,6 @@ class ProbabilityInterval(_Value):
 
     _fields = ("lower", "upper")
 
-    def __init__(self, lower: Fraction, upper: Fraction):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
     def __iter__(self) -> Iterator[Fraction]:
         return iter((self.lower, self.upper))
 
@@ -436,8 +449,8 @@ class BeliefStructure(_Value):
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "BeliefStructure":
-        """Total ignorance: all mass on the full set."""
-        return cls(frame, [(frame.full, ONE)])
+        """Total ignorance: all mass on the full set, {B: 0, X: 1}."""
+        return cls._from_form(frame, *_typical_form(0, frame.full.bits, ZERO))
 
     @property
     def is_subnormal(self) -> bool:
@@ -523,6 +536,14 @@ class BeliefStructure(_Value):
         _zeta(table, n)
         value = {x: Fraction(x, self._den) for x in set(table)}
         return [value[x] for x in table]
+
+
+def _typical_form(body: int, full: int, strength: Fraction):
+    """(numerator by bitmask, denominator) for {B: s, X: 1 - s}, 0 <= s <= 1,
+    with no zero mass, and one focal element when B = X (bitmasks)."""
+    n, d = strength.numerator, strength.denominator
+    nums = {body: n, full: d - n} if body != full else {full: d}
+    return {bits: w for bits, w in nums.items() if w}, d
 
 
 def _common_form(m1: BeliefStructure, m2: BeliefStructure):

@@ -31,7 +31,6 @@ from collections import deque
 from fractions import Fraction
 
 from .core import (
-    ONE,
     ZERO,
     BeliefStructure,
     FocalSet,
@@ -39,6 +38,7 @@ from .core import (
     _check_frame,
     _common_form,
     _num_text,
+    _typical_form,
     _Value,
     _zeta,
     to_mass,
@@ -59,17 +59,12 @@ class EntailmentWitness(_Value):
     """Evidence that one structure entails another.
 
     ``triples`` lists (specific focal, general focal, transported mass) with
-    the specific focal contained in the general one.  For ``mode ==
-    "partition"`` every specific focal appears in exactly one triple,
-    carrying its full mass.
+    the specific focal contained in the general one.  ``mode`` is "flow"
+    or "partition"; for a partition every specific focal appears in
+    exactly one triple, carrying its full mass.
     """
 
     _fields = ("mode", "triples")
-
-    def __init__(self, mode: str,
-                 triples: tuple[tuple[FocalSet, FocalSet, Fraction], ...]):
-        object.__setattr__(self, "mode", mode)  # "partition" or "flow"
-        object.__setattr__(self, "triples", triples)
 
     @property
     def assignment(self) -> dict[FocalSet, FocalSet]:
@@ -318,21 +313,8 @@ def weaken_to(m: BeliefStructure, target: FocalSet) -> BeliefStructure:
         raise SubnormalInput("weakening is defined for normal structures")
     if target.is_empty:
         raise EmptyTarget("cannot weaken toward the empty set")
-    strength = m.bel(target)
-    return BeliefStructure(
-        m.frame, [(target, strength), (m.frame.full, ONE - strength)])
-
-
-def _typical_form(m: BeliefStructure) -> tuple[FocalSet, Fraction]:
-    full = m.frame.full
-    focals = dict(m.items())
-    if len(focals) == 2 and full in focals:
-        (body, strength), = [(f, w) for f, w in focals.items() if f != full]
-        if not body.is_empty:
-            return body, strength
-    raise NotTypicalForm(
-        "expected a two-focal structure {B: s, X: 1-s} with B a proper "
-        "non-empty subset")
+    return BeliefStructure._from_form(m.frame, *_typical_form(
+        target.bits, m.frame.full.bits, m.bel(target)))
 
 
 def hedge(m: BeliefStructure, new_strength: MassLike) -> BeliefStructure:
@@ -341,11 +323,17 @@ def hedge(m: BeliefStructure, new_strength: MassLike) -> BeliefStructure:
     Hedging to any smaller strength is always licensed: the original
     structure flow-entails the hedged one.  Raising the strength is not.
     """
-    body, strength = _typical_form(m)
+    full, nums = m.frame.full.bits, m._nums
+    body = next(iter(nums))  # bitmask order: X, the largest, comes last
+    if len(nums) != 2 or full not in nums or not body:
+        raise NotTypicalForm(
+            "expected a two-focal structure {B: s, X: 1-s} with B a proper "
+            "non-empty subset")
+    strength = Fraction(nums[body], m._den)
     lowered = to_mass(new_strength)
     if lowered > strength:
         raise StrengthIncrease(
             f"cannot raise strength from {_num_text(strength)} to "
             f"{_num_text(lowered)}")
-    return BeliefStructure(
-        m.frame, [(body, lowered), (m.frame.full, ONE - lowered)])
+    return BeliefStructure._from_form(m.frame, *_typical_form(
+        body, full, lowered))

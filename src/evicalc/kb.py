@@ -30,9 +30,9 @@ import re
 from fractions import Fraction
 
 from .combine import DEMPSTER, CombinationRule, _fold
-from .core import (BeliefStructure, FocalSet, Frame, MassLike,
+from .core import (ONE, BeliefStructure, FocalSet, Frame, MassLike,
                    ProbabilityInterval, _check_frame, _num_text, _parse_mass,
-                   _Value)
+                   _typical_form, _Value)
 from .entailment import weaken_to
 from .errors import (
     MissingFrame,
@@ -48,6 +48,7 @@ class Absolute(_Value):
     """"V is A": the value certainly lies in the set."""
 
     _fields = ("set",)
+    strength = ONE  # not a field: "typically V is A" at strength 1
 
     def __init__(self, set: FocalSet):
         if set.is_empty:
@@ -217,21 +218,11 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _statement_form(stmt: Statement, full: int):
-    """{B: 1} over 1 for "V is B"; {B: n, X: d - n} over d for "typically
-    V is B" at strength n/d, or {X: d} over d when B is the full set X."""
-    b = stmt.set.bits
-    if isinstance(stmt, Absolute):
-        return {b: 1}, 1
-    n, d = stmt.strength.as_integer_ratio()
-    return ({b: n, full: d - n} if b != full else {full: d}), d
-
-
 def compile_statement(stmt: Statement, frame: Frame) -> BeliefStructure:
     """The belief structure a single statement stands for, built from the
     integer form :func:`infer` folds."""
-    return BeliefStructure._from_form(frame, *_statement_form(
-        stmt, frame.full.bits))
+    return BeliefStructure._from_form(frame, *_typical_form(
+        stmt.set.bits, frame.full.bits, stmt.strength))
 
 
 def infer(kb: KnowledgeBase,
@@ -246,13 +237,12 @@ def infer(kb: KnowledgeBase,
     (two contradictory absolute statements under Dempster, for instance)
     is reported with the statement that triggered it.
     """
-    inferred = kb._inferred.get(rule)
-    if inferred is None:
+    if rule not in kb._inferred:
         full = kb.frame.full.bits
-        inferred = _fold(kb.frame, [_statement_form(stmt, full)
-                                    for stmt in kb.statements], rule)[0]
-        kb._inferred[rule] = inferred
-    return inferred
+        kb._inferred[rule] = _fold(kb.frame, [
+            _typical_form(stmt.set.bits, full, stmt.strength)
+            for stmt in kb.statements], rule)[0]
+    return kb._inferred[rule]
 
 
 def query(kb: KnowledgeBase, rule: CombinationRule,

@@ -37,6 +37,8 @@ from .core import (
     MassLike,
     _num_text,
     _parse_mass,
+    _typical_form,
+    _Value,
     decimal6,
     mass_str,
 )
@@ -127,19 +129,19 @@ def canonical_pair(alpha: Fraction, beta: Fraction,
     """The two-focal study family on a 4-atom frame.
 
     m1 puts alpha on A = {a, b}; m2 puts beta on B = {c, d} (disjoint) or
-    B = {b, c} (overlapping); the rest of each goes to the full set.
-    Returns (m1, m2, A, B).
+    B = {b, c} (overlapping); the rest of each goes to the full set, for
+    0 <= alpha, beta <= 1.  Returns (m1, m2, A, B).
     """
     frame = _SWEEP_FRAME
     a_set = frame.subset(["a", "b"])
     b_set = frame.subset(["c", "d"] if disjoint else ["b", "c"])
-    m1 = BeliefStructure(frame, [(a_set, alpha), (frame.full, ONE - alpha)])
-    m2 = BeliefStructure(frame, [(b_set, beta), (frame.full, ONE - beta)])
+    m1, m2 = (BeliefStructure._from_form(
+        frame, *_typical_form(focal.bits, frame.full.bits, s))
+        for focal, s in ((a_set, alpha), (b_set, beta)))
     return m1, m2, a_set, b_set
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Value):
     """One grid point of a sweep over the two-focal family.
 
     ``violation`` is the interval-escape verdict with respect to m1; it is
@@ -147,13 +149,9 @@ class SweepRow:
     are None when the rule is infeasible at the grid point.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    conflict: Fraction
-    bel_a: Fraction | None
-    pl_a: Fraction | None
-    violation: bool | None
-    infeasible: bool = False
+    _fields = ("alpha", "beta", "conflict", "bel_a", "pl_a", "violation",
+               "infeasible")
+    _defaults = (False,)
 
 
 def sweep(alpha_grid: list[MassLike], beta_grid: list[MassLike],

@@ -360,6 +360,22 @@ class TestCombine:
             f"error: {path}: FileNotFoundError: [Errno 2] No such file or "
             f"directory: '{path}'"]
 
+    @pytest.mark.parametrize("out", [["-o", ""], ["-o="], ["--out="]],
+                             ids=["-o-space", "-o=", "--out="])
+    @pytest.mark.parametrize("argv", [
+        ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
+         "--rule", "yager"),
+        ("kb-infer", DATA / "kb_equal_half.kb"),
+        ("sweep", "--alphas", "1/2", "--betas", "1/2", "--rule", "yager")],
+        ids=["combine", "kb-infer", "sweep"])
+    def test_empty_out_path_is_a_failed_write(self, capsys, argv, out):
+        # an empty path asks for a file all the same, which cannot be made
+        code, stdout, err = run(capsys, *argv, *out)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            "error: '': FileNotFoundError: [Errno 2] No such file or "
+            "directory: ''"]
+
     @pytest.mark.parametrize("argv", [
         ("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
          "--rule", "yager"),

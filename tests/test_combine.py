@@ -15,6 +15,7 @@ from evicalc import (
     UNNORMALIZED,
     YAGER,
     BeliefStructure,
+    CombinationRule,
     Frame,
     combine,
     combine_all,
@@ -203,6 +204,13 @@ class TestCombineContracts:
                               subnormal=True)
         with pytest.raises(SubnormalInput):
             combine(sub, BeliefStructure.vacuous(frame4), DEMPSTER)
+
+    def test_unknown_rule_kind_is_refused(self, frame4):
+        m = BeliefStructure(frame4, [(frame4.subset(["a"]), F(1, 2)),
+                                     (frame4.full, F(1, 2))])
+        with pytest.raises(ValueError,
+                           match="^not a cell-routing rule: bogus$"):
+            combine(m, m, CombinationRule("bogus"))
 
     def test_rule_parsing(self):
         assert parse_rule("dempster") is DEMPSTER

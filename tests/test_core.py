@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evicalc import Absolute, BeliefStructure, CombinationRule, \
     EntailmentWitness, FocalSet, Frame, KnowledgeBase, ProbabilityInterval, \
-    Typical, combine, decimal6, flow_entails, mass_str, to_mass
-from evicalc.core import _num_text
+    Typical, combine, compile_statement, decimal6, flow_entails, hedge, \
+    mass_str, to_mass, weaken_to
+from evicalc.core import _num_text, _typical_form
+from evicalc.monotonicity import SweepRow, canonical_pair
 from evicalc.errors import (
     EmptyFocalInNormal,
     FrameMismatch,
@@ -22,7 +25,7 @@ from evicalc.errors import (
     UnknownAtom,
 )
 
-from conftest import structures
+from conftest import ATOMS, structures
 from oracles import naive_bel, naive_pl, random_frame, random_structure
 
 F = Fraction
@@ -64,6 +67,13 @@ class TestMass:
         for flag in (True, False):
             with pytest.raises(TypeError, match="bool"):
                 to_mass(flag)
+
+    @pytest.mark.parametrize("value, kind", [([1], "list"),
+                                             (None, "NoneType")])
+    def test_other_types_rejected_by_name(self, value, kind):
+        with pytest.raises(TypeError,
+                           match=f"^cannot interpret {kind} as a mass$"):
+            to_mass(value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -139,6 +149,15 @@ class TestFocalSet:
         assert frame4.empty.is_empty
         assert ab.label() == "{a, b}"
         assert frame4.empty.label() == "{}"
+
+    def test_iteration_and_membership_by_atom_name(self, frame4):
+        ac = frame4.subset(["c", "a"])
+        assert list(ac) == ["a", "c"]  # frame order, not the given order
+        assert list(frame4.empty) == []
+        assert "a" in ac and "c" in ac
+        assert "b" not in ac and "d" not in ac
+        with pytest.raises(UnknownAtom, match="^unknown atom 'e'$"):
+            "e" in ac
 
     def test_cross_frame_operations_fail(self, frame4, frame5):
         with pytest.raises(FrameMismatch):
@@ -361,6 +380,14 @@ VALUE_TYPES = [
                  "variable='V', statements=(Absolute(set=FocalSet({a, b})), "
                  "Typical(set=FocalSet({a}), strength=Fraction(1, 2))))",
                  id="KnowledgeBase"),
+    pytest.param(SweepRow,
+                 {"alpha": F(1, 2), "beta": F(1, 3), "conflict": F(1, 6),
+                  "bel_a": F(2, 5), "pl_a": F(1), "violation": False,
+                  "infeasible": False},
+                 "SweepRow(alpha=Fraction(1, 2), beta=Fraction(1, 3), "
+                 "conflict=Fraction(1, 6), bel_a=Fraction(2, 5), "
+                 "pl_a=Fraction(1, 1), violation=False, infeasible=False)",
+                 id="SweepRow"),
 ]
 
 
@@ -413,6 +440,52 @@ class TestValueTypes:
         assert rule == CombinationRule(kind="yager", param=None)
         assert repr(rule) == "CombinationRule(kind='yager', param=None)"
 
+    def test_generic_constructor(self):
+        """The field-only types bind their fields through ``_Value``'s
+        constructor, with the trailing defaults of ``_defaults``; the types
+        with checks keep their own."""
+        for cls in (ProbabilityInterval, CombinationRule, EntailmentWitness,
+                    SweepRow):
+            assert "__init__" not in vars(cls)
+        for cls in (Frame, FocalSet, Absolute, Typical, KnowledgeBase,
+                    BeliefStructure):
+            assert "__init__" in vars(cls)
+        assert CombinationRule._defaults == (None,)
+        assert SweepRow._defaults == (False,)
+        assert ProbabilityInterval._defaults == EntailmentWitness._defaults \
+            == ()
+        row = SweepRow(F(0), F(1), F(0), F(0), F(1), False)
+        assert row.infeasible is False
+        assert SweepRow(F(0), F(1), F(0), None, None, None,
+                        infeasible=True).infeasible is True
+        assert CombinationRule(param=F(1, 2), kind="discount") == \
+            CombinationRule("discount", F(1, 2))
+        assert ProbabilityInterval(F(1, 3), upper=F(1)).upper == F(1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ProbabilityInterval(F(0), F(1), F(1)),
+         "ProbabilityInterval takes 2 fields"),
+        (lambda: CombinationRule("yager", None, None),
+         "CombinationRule takes 2 fields"),
+        (lambda: EntailmentWitness("flow", (), weight=1),
+         "EntailmentWitness has no field 'weight'"),
+        (lambda: CombinationRule("yager", kind="yager"),
+         "CombinationRule got field 'kind' twice"),
+        (lambda: SweepRow(F(0), F(1), F(0), None, None, None, False,
+                          infeasible=True),
+         "SweepRow got field 'infeasible' twice"),
+        (lambda: SweepRow(F(0), F(1), F(0), None, None, infeasible=True),
+         "SweepRow is missing field 'violation'"),
+        (lambda: ProbabilityInterval(upper=F(1)),
+         "ProbabilityInterval is missing field 'lower'"),
+        (lambda: CombinationRule(), "CombinationRule is missing field 'kind'"),
+    ], ids=["too-many", "too-many-with-default", "unknown", "twice",
+            "default-twice", "missing", "missing-keyword-given",
+            "missing-with-default"])
+    def test_generic_constructor_refuses_bad_arguments(self, build, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            build()
+
     @pytest.mark.parametrize("build, error, match", [
         (lambda: FocalSet(FRAME, 1 << 4), ValueError, "out of range"),
         (lambda: FocalSet(FRAME, -1), ValueError, "out of range"),
@@ -429,6 +502,68 @@ class TestValueTypes:
     def test_constructor_checks(self, build, error, match):
         with pytest.raises(error, match=match):
             build()
+
+
+@st.composite
+def typical_cases(draw):
+    """A frame of 1 to 5 atoms, a non-empty body B (often the full set X),
+    and a strength s = p/q in [0, 1] (often 0 or 1), with p and q given
+    unreduced by a common factor k."""
+    n = draw(st.integers(1, 5))
+    frame = Frame(ATOMS[:n])
+    full = (1 << n) - 1
+    body = draw(st.one_of(st.just(full), st.integers(1, full)))
+    q = draw(st.integers(1, 40))
+    p = draw(st.one_of(st.sampled_from([0, q]), st.integers(0, q)))
+    k = draw(st.integers(1, 6))
+    return frame, frame.from_bits(body), p * k, q * k
+
+
+class TestTypicalForm:
+    """Every typical structure {B: s, X: 1 - s} the library builds comes
+    from ``core._typical_form``; each equals the public constructor's."""
+
+    @staticmethod
+    def check(built, frame, body, strength):
+        expected = BeliefStructure(frame, [(body, strength),
+                                           (frame.full, 1 - strength)])
+        assert built == expected
+        assert list(built.bit_items()) == list(expected.bit_items())
+
+    @given(typical_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_builder_matches_the_constructor(self, case, disjoint):
+        frame, body, p, q = case
+        s, text = F(p, q), f"{p}/{q}"  # the text keeps p/q unreduced
+        nums, den = _typical_form(body.bits, frame.full.bits, s)
+        assert 0 not in nums.values() and den == s.denominator
+        self.check(BeliefStructure._from_form(frame, nums, den), frame,
+                   body, s)
+        # weakening {B: s, X: 1 - s} toward B keeps it: bel(B) is s
+        # (1 when B = X, which is the vacuous structure either way)
+        expected = BeliefStructure(frame, [(body, s), (frame.full, 1 - s)])
+        self.check(weaken_to(expected, body), frame, body, s)
+        if p == q:
+            self.check(compile_statement(Absolute(body), frame), frame,
+                       body, s)
+        elif p:
+            self.check(compile_statement(Typical(body, text), frame), frame,
+                       body, s)
+        if body != frame.full and p < q:  # hedged down from (1 + s) / 2
+            strong = BeliefStructure(frame, [(body, (1 + s) / 2),
+                                             (frame.full, (1 - s) / 2)])
+            self.check(hedge(strong, text), frame, body, s)
+        m1, m2, a_set, b_set = canonical_pair(s, 1 - s, disjoint)
+        self.check(m1, a_set.frame, a_set, s)
+        self.check(m2, b_set.frame, b_set, 1 - s)
+
+    def test_vacuous(self):
+        for n in range(1, 6):
+            frame = Frame(ATOMS[:n])
+            self.check(BeliefStructure.vacuous(frame), frame, frame.full,
+                       F(1))
+            assert list(BeliefStructure.vacuous(frame).bit_items()) == [
+                (frame.full.bits, F(1))]
 
 
 def typical(frame, names, strength):

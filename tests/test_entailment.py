@@ -169,6 +169,13 @@ class TestFlow:
         assert sent[(body.bits, frame5.full.bits)] == F(9, 100)
         assert sent[(frame5.full.bits, frame5.full.bits)] == F(1, 100)
 
+    def test_flow_witness_has_no_assignment_view(self, frame5):
+        strong = typical(frame5, ["c", "d"], F(99, 100))
+        witness = flow_entails(strong, typical(frame5, ["c", "d"], F(9, 10)))
+        with pytest.raises(ValueError, match="^assignment view is only "
+                           "defined for partition witnesses$"):
+            witness.assignment
+
     def test_everything_normal_entails_vacuous(self):
         rng = random.Random(91)
         for _ in range(30):
