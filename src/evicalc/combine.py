@@ -21,7 +21,8 @@ The table is never built cell by cell.  A structure stores its integer form
 :func:`_product`, over two forms yields the routed numerators and K, taking
 the full set's row (X & a = a) as one scaled copy; :func:`conflict_mass`
 runs a pass of its own for K alone.  The one fold, :func:`_fold`, takes
-forms in (a structure's or a statement's) and builds one structure.
+numbered forms in (a structure's or a statement's), in the order given,
+and builds one structure.
 """
 
 from __future__ import annotations
@@ -128,21 +129,31 @@ def _product(n1, n2, route, full: int | None) -> tuple[dict[int, int], int]:
     return out, conflict
 
 
-def _fold(frame: Frame, forms: Iterable[tuple[dict[int, int], int]],
+def _fold(frame: Frame,
+          forms: Iterable[tuple[int, tuple[dict[int, int], int]]],
           rule: CombinationRule):
-    """The left fold of one or more integer forms on one frame, built into
-    one structure at the end, and the last step's conflict numerator K
-    (None under discount, which builds no product table)."""
+    """The left fold of one or more integer forms on one frame, in the
+    order given, built into one structure at the end, and the last step's
+    conflict numerator K (None under discount, which builds no product
+    table).  Each form comes as (position from 1, form), and a
+    TotalConflict names the position of the form that reached K = 1."""
     forms = iter(forms)
     full = frame.full.bits  # read once: each read builds a new FocalSet
-    nums, den = next(forms)
+    nums, den = next(forms)[1]
     conflict = None
-    for index, (n2, d2) in enumerate(forms, start=2):
+    for index, (n2, d2) in forms:
         if 0 in nums or 0 in n2:  # which lets _product copy X's row
             raise SubnormalInput(
                 "combination requires normal input structures")
         if rule.kind == "discount":
-            p, q = rule.param.numerator, rule.param.denominator
+            c = rule.param
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"discount weight {_text(c)} is not a "
+                                 f"fraction")
+            if not 0 <= c <= 1:
+                raise ValueError(
+                    f"discount weight {_num_text(c)} is outside [0, 1]")
+            p, q = c.numerator, c.denominator
             out = {a: p * d2 * w for a, w in nums.items()}
             for b, w in n2.items():
                 out[b] = out.get(b, 0) + (q - p) * den * w
@@ -164,10 +175,11 @@ def _fold(frame: Frame, forms: Iterable[tuple[dict[int, int], int]],
 
 
 def _forms(items: Sequence[BeliefStructure]):
-    """Each structure's integer form, its frame checked as the fold gets it."""
-    for m in items:
+    """Each structure's numbered integer form, its frame checked as the
+    fold gets it."""
+    for position, m in enumerate(items, 1):
         _check_frame(items[0].frame, m, BeliefStructure)
-        yield m._nums, m._den
+        yield position, (m._nums, m._den)
 
 
 def _combine_with_conflict(m1: BeliefStructure, m2: BeliefStructure,

@@ -439,7 +439,7 @@ class BeliefStructure(_Value):
         if g > 1:
             nums, den = {bits: w // g for bits, w in nums.items()}, den // g
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_nums", dict(sorted(nums.items())))
+        object.__setattr__(self, "_nums", {b: nums[b] for b in sorted(nums)})
         object.__setattr__(self, "_den", den)
         return self
 

@@ -13,11 +13,14 @@ parsed exactly (decimals or p/q fractions) and must lie strictly between 0
 and 1: strength 1 is an absolute statement and must be written as one, and
 strength 0 says nothing.
 
-Inference folds the statements' integer forms (:func:`compile_statement`)
-in file order.  Under the default rule (Dempster) a typical statement that
-conflicts outright with an absolute one is completely discounted, and
-between two conflicting typical statements the one with the larger strength
-keeps the larger share of belief; strengths thereby act as priorities.
+Inference folds the statements' integer forms (:func:`compile_statement`).
+The default rule (Dempster's) does not depend on the order, so its fold
+takes the most restrictive statements first: the absolute ones in file
+order, then the typical ones by ascending set size.  Every other rule folds
+in file order.  Under Dempster a typical statement that conflicts outright
+with an absolute one is completely discounted, and between two conflicting
+typical statements the one with the larger strength keeps the larger share
+of belief; strengths thereby act as priorities.
 
 A knowledge base is immutable, so it keeps each inference it has made, one
 per combination rule: :func:`infer`, :func:`query` and
@@ -65,7 +68,7 @@ class Typical(_Value):
         if set.is_empty:
             raise ValueError("a statement set must be non-empty")
         strength = _parse_mass(strength)  # 0.99 is 99/100, as in to_mass
-        if not 0 < strength < 1:
+        if not 0 < strength.numerator < strength.denominator:
             hint = ("; write an absolute statement instead"
                     if strength == 1 else "")
             raise StrengthOutOfRange(
@@ -105,7 +108,8 @@ _STMT_LINE = re.compile(
     rf"^(?P<typ>typically\s+)?(?P<var>{_NAME.pattern})\s+is\s+"
     rf"\{{(?P<set>[^{{}}]*)\}}(?P<rest>.*)$")
 _STRENGTH = re.compile(r"^\s+strength\s+(?P<num>\S+)\s*$")
-_NUMBER = re.compile(r"^(\d+/\d+|\d+(\.\d+)?|\.\d+)$", re.ASCII)
+# p/q, a whole number, or a decimal with or without its whole part
+_NUMBER = re.compile(r"^(?=\.?\d)(\d*)(?:/(\d+)|\.(\d+))?$", re.ASCII)
 
 
 def _parse_set(frame: Frame, body: str, line: int, col: int) -> FocalSet:
@@ -178,11 +182,18 @@ def parse_kb(text: str) -> KnowledgeBase:
                 raise ParseError('a typical statement ends with "strength N"',
                                  **at)
             token = strength_match.group("num")
-            if not _NUMBER.match(token):
+            number = _NUMBER.match(token)
+            if not number:
                 raise ParseError(f"bad strength {_text(token)}: use a decimal "
                                  f"or p/q fraction", **at)
-            try:
-                strength = Fraction(token)
+            whole, den, digits = number.groups()
+            try:  # each part its own int, as Fraction(token) reads them
+                if digits:
+                    num = int(digits)
+                    scale = 10 ** len(digits)
+                    strength = Fraction(int(whole or 0) * scale + num, scale)
+                else:
+                    strength = Fraction(int(whole), int(den or 1))
             except ZeroDivisionError:
                 raise ParseError(f"bad strength {_text(token)}: zero "
                                  f"denominator", **at) from None
@@ -225,23 +236,40 @@ def compile_statement(stmt: Statement, frame: Frame) -> BeliefStructure:
         stmt.set.bits, frame.full.bits, stmt.strength))
 
 
+def _restrictive_first(numbered: tuple[int, Statement]) -> int:
+    """Sort key for a Dempster fold: absolute statements first, then
+    typical ones by the size of their set."""
+    stmt = numbered[1]
+    return 0 if isinstance(stmt, Absolute) else len(stmt.set)
+
+
 def infer(kb: KnowledgeBase,
           rule: CombinationRule = DEMPSTER) -> BeliefStructure:
-    """Combine the compiled statements in knowledge-base order.
+    """Combine the compiled statements of a knowledge base.
+
+    Every rule but Dempster's folds in knowledge-base order, which is part
+    of its answer.  Dempster's rule is commutative and associative, so its
+    fold takes the absolute statements first, in knowledge-base order, then
+    the typical ones by ascending set size (a stable sort): the running
+    result stays small.  A typical statement never reaches K = 1 under
+    Dempster, so total conflict comes at the first absolute statement
+    disjoint from the intersection of those before it, in either order,
+    and is reported with that statement's number in the knowledge base.
 
     The fold runs on integer forms and builds one structure at the end,
     once per (knowledge base, rule): its result is kept on the knowledge
     base and returned by every later call, including those made by
     :func:`query` and :func:`typical_summary`.  Errors are not kept, so a
-    failing fold raises again on every call.  Total conflict
-    (two contradictory absolute statements under Dempster, for instance)
-    is reported with the statement that triggered it.
+    failing fold raises again on every call.
     """
     if rule not in kb._inferred:
+        numbered = enumerate(kb.statements, 1)
+        if rule.kind == "dempster":
+            numbered = sorted(numbered, key=_restrictive_first)
         full = kb.frame.full.bits
         kb._inferred[rule] = _fold(kb.frame, [
-            _typical_form(stmt.set.bits, full, stmt.strength)
-            for stmt in kb.statements], rule)[0]
+            (position, _typical_form(stmt.set.bits, full, stmt.strength))
+            for position, stmt in numbered], rule)[0]
     return kb._inferred[rule]
 
 

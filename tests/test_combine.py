@@ -212,6 +212,22 @@ class TestCombineContracts:
                            match="^not a cell-routing rule: bogus$"):
             combine(m, m, CombinationRule("bogus"))
 
+    @pytest.mark.parametrize("weight, shown", [
+        (None, "None"), (0.5, "0.5"), ("1/2", "'1/2'")])
+    def test_discount_rule_without_a_fraction_weight_is_refused(
+            self, frame4, weight, shown):
+        m = BeliefStructure(frame4, [(frame4.subset(["a"]), 1)])
+        with pytest.raises(ValueError) as err:
+            combine(m, m, CombinationRule("discount", weight))
+        assert str(err.value) == f"discount weight {shown} is not a fraction"
+
+    def test_discount_weight_past_one_is_refused(self, frame4):
+        m1 = BeliefStructure(frame4, [(frame4.subset(["a"]), 1)])
+        m2 = BeliefStructure(frame4, [(frame4.subset(["b"]), 1)])
+        with pytest.raises(ValueError, match=r"^discount weight 3/2 is "
+                                             r"outside \[0, 1\]$"):
+            combine(m1, m2, CombinationRule("discount", F(3, 2)))
+
     def test_rule_parsing(self):
         assert parse_rule("dempster") is DEMPSTER
         assert parse_rule("discount:1/2") == discount(F(1, 2))

@@ -132,6 +132,39 @@ class TestParse:
             parse_kb(text)
         assert (err.value.line, err.value.col) == (2, 19)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.from_regex(r"\A([0-9]{1,5}/[0-9]{1,5}|[0-9]{1,5}(\.[0-9]{1,5})?"
+                         r"|\.[0-9]{1,5})\Z"))
+    def test_strength_reads_as_fraction_reads_it(self, token):
+        text = f"frame: a, b\ntypically V is {{a}} strength {token}\n"
+        den = token.partition("/")[2]
+        if den and not int(den):
+            with pytest.raises(ParseError, match="zero denominator$"):
+                parse_kb(text)
+        elif 0 < Fraction(token) < 1:
+            assert parse_kb(text).statements[0].strength == Fraction(token)
+        else:
+            with pytest.raises(StrengthOutOfRange) as err:
+                parse_kb(text)
+            hint = ("; write an absolute statement instead"
+                    if Fraction(token) == 1 else "")
+            assert str(err.value) == (
+                f"line 2, col 19: strength must be strictly between 0 and 1,"
+                f" got {Fraction(token)}{hint}")
+
+    @pytest.mark.parametrize("token, strength", [
+        ("0." + "0" * 4000 + "1", F(1, 10**4001)),
+        ("." + "9" * 4300, 1 - F(1, 10**4300)),
+        ("1" * 4300 + "/" + "1" * 4299 + "2", F(int("1" * 4300),
+                                                 int("1" * 4299 + "2"))),
+    ], ids=["decimal-4001-digits", "leading-dot-4300-digits",
+            "fraction-4300-digit-parts"])
+    def test_long_strength_parts_are_read_each_on_its_own(self, token,
+                                                          strength):
+        # each part stays within the digit limit, as in Fraction(token)
+        kb = parse_kb(f"frame: a, b\ntypically V is {{a}} strength {token}")
+        assert kb.statements[0].strength == strength
+
     def test_comments_and_whitespace_are_ignored(self):
         kb = parse_kb(load("kb_fraction_strengths.kb"))
         assert kb.variable == "heading"
@@ -481,6 +514,82 @@ class TestInferOracle:
         assert str(err.value) == (f"total conflict (K = 1) while combining "
                                   f"statement {index} into the running "
                                   f"result")
+
+
+def restrictive_statements(rng, frame, count):
+    """Statements with absolute ones mixed in; some absolute sets lie
+    outside an earlier absolute set, so the fold may meet K = 1."""
+    full = frame.full.bits
+    statements = []
+    for _ in range(count):
+        if rng.random() < 0.1:
+            # most absolute sets drop two atoms; some lie outside another
+            earlier = [s.set.bits for s in statements
+                       if isinstance(s, Absolute)]
+            bits = full & ~(1 << rng.randrange(len(frame))) \
+                & ~(1 << rng.randrange(len(frame)))
+            if earlier and rng.random() < 0.3:
+                bits = full & ~rng.choice(earlier) or bits
+            statements.append(Absolute(frame.from_bits(bits)))
+        else:
+            statements.append(Typical(frame.from_bits(rng.randint(1, full)),
+                                      F(rng.randint(50, 99), 100)))
+    return statements
+
+
+class TestRestrictiveFirst:
+    """Under Dempster infer folds absolute statements first, then typical
+    ones by ascending set size; the answer and any TotalConflict are those
+    of the file-order fold."""
+
+    TEXT = ("frame: a, b, c, d, e\n"
+            "typically V is {a, b, c} strength 0.9\n"
+            "V is {a, b, c, d}\n"
+            "typically V is {a} strength 0.8\n"
+            "typically V is {a, b} strength 0.7\n"
+            "V is {a, b}\n"
+            "typically V is {b, c, d, e} strength 0.6\n"
+            "typically V is {c} strength 0.5\n")
+
+    @pytest.mark.parametrize("rule, order", [
+        (DEMPSTER, [2, 5, 3, 7, 4, 1, 6]),
+        *[(rule, [1, 2, 3, 4, 5, 6, 7]) for rule in
+          (*CELL_ROUTING_RULES, discount(F(2, 5))) if rule != DEMPSTER]],
+        ids=str)
+    def test_the_order_fold_receives(self, monkeypatch, rule, order):
+        received = []
+        fold = kb_module._fold
+
+        def recording(frame, forms, rule):
+            forms = list(forms)
+            received.append([position for position, _ in forms])
+            return fold(frame, forms, rule)
+
+        monkeypatch.setattr(kb_module, "_fold", recording)
+        kb = parse_kb(self.TEXT)
+        try:
+            infer(kb, rule)
+        except SubnormalInput:  # unnormalized after a conflicting step
+            pass
+        assert received == [order]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))  # st.randoms leans to its edge values
+    def test_dempster_is_the_file_order_oracle_fold(self, seed):
+        frame = Frame("abcdefghijkl")
+        statements = restrictive_statements(random.Random(seed), frame, 30)
+        kb = KnowledgeBase(frame, "V", tuple(statements))
+        outcome, expected = oracle_fold(
+            [statement_structure(frame, s) for s in statements], DEMPSTER)
+        if outcome == "total conflict":
+            with pytest.raises(TotalConflict) as err:
+                infer(kb)
+            assert err.value.statement_index == expected
+            assert str(err.value) == (f"total conflict (K = 1) while "
+                                      f"combining statement {expected} into "
+                                      f"the running result")
+        else:
+            assert structure_bits(infer(kb)) == expected
 
 
 @pytest.fixture
