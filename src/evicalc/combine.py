@@ -4,7 +4,7 @@ Every pairwise combination starts from the same product table: one cell per
 pair of focal elements, weighted by the product of their masses.  A cell
 whose sets intersect always contributes its weight to the intersection.  The
 rules differ only in where a *conflicting* cell (empty intersection) sends
-its weight:
+its weight, and ``_CONFLICT_TARGET`` is the one list of these kinds:
 
 * ``dempster``        drop it and renormalize the rest by 1/(1-K);
 * ``yager``           send it to the full set X;
@@ -35,37 +35,48 @@ from .core import (ZERO, ONE, BeliefStructure, FocalSet, Frame, MassLike,
 from .errors import EmptyTarget, SubnormalInput, TotalConflict, _text
 
 
+# Where each rule sends a conflicting cell (a & b == 0); None drops it.
+_CONFLICT_TARGET = {
+    "dempster": None, "yager": lambda a, b, full: full,
+    "dubois-prade": lambda a, b, full: a | b,
+    "unnormalized": lambda a, b, full: 0,
+    "priority-first": lambda a, b, full: a,
+    "priority-second": lambda a, b, full: b}
+
+
 class CombinationRule(_Value):
-    """A tagged combination rule; ``param`` is the discount weight c."""
+    """A combination rule, checked as built; ``param`` is discount's c."""
 
     _fields = ("kind", "param")
     _defaults = (None,)
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        kind, c = self.kind, self.param
+        if isinstance(kind, str) and kind in _CONFLICT_TARGET:
+            if c is not None:
+                raise ValueError(f"rule {kind} takes no parameter")
+        elif kind != "discount":
+            raise ValueError(f"unknown combination rule {_text(kind)}")
+        elif isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise ValueError(f"discount weight {_text(c)} is not a fraction")
+        elif not 0 <= c <= 1:
+            raise ValueError(
+                f"discount weight {_num_text(c)} is outside [0, 1]")
+
     def __str__(self) -> str:
-        if self.kind == "discount":
-            return f"discount:{mass_str(self.param)}"
-        return self.kind
+        param = "" if self.param is None else f":{mass_str(self.param)}"
+        return self.kind + param
 
 
-DEMPSTER = CombinationRule("dempster")
-YAGER = CombinationRule("yager")
-DUBOIS_PRADE = CombinationRule("dubois-prade")
-UNNORMALIZED = CombinationRule("unnormalized")
-PRIORITY_FIRST = CombinationRule("priority-first")
-PRIORITY_SECOND = CombinationRule("priority-second")
-
-CELL_ROUTING_RULES = (
-    DEMPSTER, YAGER, DUBOIS_PRADE, UNNORMALIZED, PRIORITY_FIRST,
-    PRIORITY_SECOND,
-)
+CELL_ROUTING_RULES = tuple(map(CombinationRule, _CONFLICT_TARGET))
+(DEMPSTER, YAGER, DUBOIS_PRADE, UNNORMALIZED, PRIORITY_FIRST,
+ PRIORITY_SECOND) = CELL_ROUTING_RULES
 
 
 def discount(c: MassLike) -> CombinationRule:
     """Pointwise mixture rule c*m1 + (1-c)*m2 with 0 <= c <= 1."""
-    weight = to_mass(c)
-    if weight > 1:
-        raise ValueError(f"discount weight {_num_text(weight)} exceeds 1")
-    return CombinationRule("discount", weight)
+    return CombinationRule("discount", to_mass(c))
 
 
 def parse_rule(text: str) -> CombinationRule:
@@ -94,15 +105,6 @@ def possibility(b: FocalSet, a: FocalSet) -> Fraction:
     if a.is_empty:
         raise EmptyTarget("possibility is conditioned on a non-empty set")
     return ONE if a.intersects(b) else ZERO
-
-
-# Where each rule sends a conflicting cell (a & b == 0); None drops it.
-_CONFLICT_TARGET = {
-    "dempster": None, "yager": lambda a, b, full: full,
-    "dubois-prade": lambda a, b, full: a | b,
-    "unnormalized": lambda a, b, full: 0,
-    "priority-first": lambda a, b, full: a,
-    "priority-second": lambda a, b, full: b}
 
 
 def _product(n1, n2, route, full: int | None) -> tuple[dict[int, int], int]:
@@ -146,20 +148,13 @@ def _fold(frame: Frame,
             raise SubnormalInput(
                 "combination requires normal input structures")
         if rule.kind == "discount":
-            c = rule.param
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(f"discount weight {_text(c)} is not a "
-                                 f"fraction")
-            if not 0 <= c <= 1:
-                raise ValueError(
-                    f"discount weight {_num_text(c)} is outside [0, 1]")
-            p, q = c.numerator, c.denominator
+            p, q = rule.param.numerator, rule.param.denominator
             out = {a: p * d2 * w for a, w in nums.items()}
             for b, w in n2.items():
                 out[b] = out.get(b, 0) + (q - p) * den * w
             nums = {f: w for f, w in out.items() if w}  # c = 0 or c = 1
             den *= q * d2
-        elif rule.kind in _CONFLICT_TARGET:
+        else:
             nums, conflict = _product(nums, n2, _CONFLICT_TARGET[rule.kind],
                                       full)
             # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
@@ -168,8 +163,6 @@ def _fold(frame: Frame,
                 raise TotalConflict(
                     f"total conflict (K = 1) while combining statement "
                     f"{index} into the running result", statement_index=index)
-        else:
-            raise ValueError(f"not a cell-routing rule: {rule}")
     return BeliefStructure._from_form(
         frame, nums, den, subnormal=rule.kind == "unnormalized"), conflict
 

@@ -134,7 +134,9 @@ class _Value:
 
     ``Frame``, ``FocalSet``, ``Absolute``, ``Typical``, ``KnowledgeBase``
     and ``BeliefStructure`` check their input on the fold's hot path, so
-    each keeps its own ``__init__``, faster there than the generic one; the
+    each keeps its own ``__init__``, faster there than the generic one.
+    ``CombinationRule`` keeps one that binds through this one, then checks
+    the rule, which arrives from outside: a CLI name, JSON or code.  The
     other types only hold fields.  Also overridden: some reprs,
     ``Frame.__eq__`` (identity first), ``BeliefStructure.__reduce__``.
     """

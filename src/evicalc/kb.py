@@ -218,14 +218,14 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 def serialize_kb(kb: KnowledgeBase) -> str:
     """Canonical text for a knowledge base; parses back to an equal KB."""
+    for name in (*kb.frame.atoms, kb.variable):
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
+            raise ValueError(f"{_text(name)} is not a knowledge-base name")
     lines = ["frame: " + ", ".join(kb.frame.atoms)]
     for stmt in kb.statements:
-        names = ", ".join(stmt.set.atoms)
-        if isinstance(stmt, Absolute):
-            lines.append(f"{kb.variable} is {{{names}}}")
-        else:
-            lines.append(f"typically {kb.variable} is {{{names}}} "
-                         f"strength {stmt.strength}")
+        line = f"{kb.variable} is {stmt.set.label()}"
+        lines.append(line if isinstance(stmt, Absolute)
+                     else f"typically {line} strength {stmt.strength}")
     return "\n".join(lines) + "\n"
 
 

@@ -237,7 +237,7 @@ class TestLongNumbersInErrors:
     @pytest.mark.parametrize("argv, message", [
         (("combine", DATA / "desk_a.bs", DATA / "desk_b_overlap.bs",
           "--rule", "discount:" + LONG),
-         "discount weight <4301 digits>/<4301 digits> exceeds 1"),
+         "discount weight <4301 digits>/<4301 digits> is outside [0, 1]"),
         (("sweep", "--alphas", LONG, "--betas", "1/2", "--rule", "dempster"),
          "GridOutOfRange: grid value <4301 digits>/<4301 digits> is outside "
          "[0, 1]"),

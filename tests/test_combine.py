@@ -25,6 +25,7 @@ from evicalc import (
     parse_rule,
     possibility,
 )
+from evicalc import monotonicity
 from evicalc.errors import (
     EmptyTarget,
     FrameMismatch,
@@ -205,28 +206,60 @@ class TestCombineContracts:
         with pytest.raises(SubnormalInput):
             combine(sub, BeliefStructure.vacuous(frame4), DEMPSTER)
 
-    def test_unknown_rule_kind_is_refused(self, frame4):
-        m = BeliefStructure(frame4, [(frame4.subset(["a"]), F(1, 2)),
-                                     (frame4.full, F(1, 2))])
-        with pytest.raises(ValueError,
-                           match="^not a cell-routing rule: bogus$"):
-            combine(m, m, CombinationRule("bogus"))
+    def test_unknown_rule_kind_is_refused(self):
+        for kind, shown in (("bogus", "'bogus'"), (["yager"], "['yager']")):
+            with pytest.raises(ValueError) as err:
+                CombinationRule(kind)
+            assert str(err.value) == f"unknown combination rule {shown}"
+
+    def test_cell_routing_rule_with_a_parameter_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            CombinationRule("yager", F(1, 2))
+        assert str(err.value) == "rule yager takes no parameter"
 
     @pytest.mark.parametrize("weight, shown", [
-        (None, "None"), (0.5, "0.5"), ("1/2", "'1/2'")])
+        (None, "None"), (0.5, "0.5"), ("1/2", "'1/2'"), (True, "True")])
     def test_discount_rule_without_a_fraction_weight_is_refused(
-            self, frame4, weight, shown):
-        m = BeliefStructure(frame4, [(frame4.subset(["a"]), 1)])
+            self, weight, shown):
         with pytest.raises(ValueError) as err:
-            combine(m, m, CombinationRule("discount", weight))
+            CombinationRule("discount", weight)
         assert str(err.value) == f"discount weight {shown} is not a fraction"
 
-    def test_discount_weight_past_one_is_refused(self, frame4):
-        m1 = BeliefStructure(frame4, [(frame4.subset(["a"]), 1)])
-        m2 = BeliefStructure(frame4, [(frame4.subset(["b"]), 1)])
-        with pytest.raises(ValueError, match=r"^discount weight 3/2 is "
-                                             r"outside \[0, 1\]$"):
-            combine(m1, m2, CombinationRule("discount", F(3, 2)))
+    def test_discount_rule_without_a_weight_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            CombinationRule("discount")
+        assert str(err.value) == "discount weight None is not a fraction"
+
+    def test_discount_weight_past_one_is_refused(self):
+        for build in (lambda: CombinationRule("discount", F(3, 2)),
+                      lambda: discount("3/2"),
+                      lambda: parse_rule("discount:3/2")):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "discount weight 3/2 is outside [0, 1]"
+
+    def test_negative_discount_weight_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            CombinationRule("discount", F(-1, 2))
+        assert str(err.value) == "discount weight -1/2 is outside [0, 1]"
+
+    def test_rules_print_as_parse_rule_reads_them(self):
+        for rule in CELL_ROUTING_RULES:
+            assert parse_rule(str(rule)) is rule
+        for weight in (0, F(1, 3), 1):
+            rule = CombinationRule("discount", weight)
+            assert parse_rule(str(rule)) == rule == discount(weight)
+
+    def test_rules_come_from_the_one_table(self):
+        assert [rule.kind for rule in CELL_ROUTING_RULES] == [
+            "dempster", "yager", "dubois-prade", "unnormalized",
+            "priority-first", "priority-second"]
+        assert CELL_ROUTING_RULES == (DEMPSTER, YAGER, DUBOIS_PRADE,
+                                      UNNORMALIZED, PRIORITY_FIRST,
+                                      PRIORITY_SECOND)
+        # a misspelt key there would drop a certificate with no error
+        assert set(monotonicity._CERTIFIED) <= {
+            rule.kind for rule in CELL_ROUTING_RULES}
 
     def test_rule_parsing(self):
         assert parse_rule("dempster") is DEMPSTER

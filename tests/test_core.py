@@ -443,12 +443,12 @@ class TestValueTypes:
     def test_generic_constructor(self):
         """The field-only types bind their fields through ``_Value``'s
         constructor, with the trailing defaults of ``_defaults``; the types
-        with checks keep their own."""
-        for cls in (ProbabilityInterval, CombinationRule, EntailmentWitness,
-                    SweepRow):
+        with checks keep their own (``CombinationRule``'s binds through
+        ``_Value``'s, then checks the rule)."""
+        for cls in (ProbabilityInterval, EntailmentWitness, SweepRow):
             assert "__init__" not in vars(cls)
         for cls in (Frame, FocalSet, Absolute, Typical, KnowledgeBase,
-                    BeliefStructure):
+                    BeliefStructure, CombinationRule):
             assert "__init__" in vars(cls)
         assert CombinationRule._defaults == (None,)
         assert SweepRow._defaults == (False,)

@@ -186,6 +186,32 @@ class TestParse:
             # a second serialize is byte-identical
             assert serialize_kb(again) == serialize_kb(kb)
 
+    def test_knowledge_bases_built_in_code_round_trip(self):
+        rng = random.Random(24)
+        for _ in range(50):
+            frame = random_frame(rng, 2, 6)
+            kb = KnowledgeBase(frame, rng.choice(["V", "x_1", "9"]), tuple(
+                random_statements(rng, frame, rng.randint(1, 6), 0.3)))
+            assert parse_kb(serialize_kb(kb)) == kb
+
+    @pytest.mark.parametrize("atoms, variable, shown", [
+        (("a b", "c"), "V", "'a b'"),
+        (("a", "a " * 60), "V", "<120 characters>"),
+        (("a", "c"), "my var", "'my var'"),
+        (("a", "c"), "", "''"),
+        (("a", "c"), None, "None"),
+    ], ids=["atom-with-space", "long-atom", "variable-with-space",
+            "empty-variable", "variable-none"])
+    def test_serialize_refuses_a_name_the_grammar_cannot_read(
+            self, atoms, variable, shown):
+        frame = Frame(atoms)
+        kb = KnowledgeBase(frame, variable, (Absolute(frame.from_bits(1)),))
+        with pytest.raises(ValueError) as err:
+            serialize_kb(kb)
+        assert str(err.value) == f"{shown} is not a knowledge-base name"
+        # the knowledge base itself is not checked: it still infers
+        assert infer(kb) == BeliefStructure(frame, {frame.from_bits(1): 1})
+
 
 class TestCompile:
     def test_absolute_puts_all_mass_on_its_set(self, frame5):
@@ -476,9 +502,10 @@ class TestInferOracle:
     """infer runs one integer fold; an oracle_combine fold is the judge."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.randoms(use_true_random=False),
+    @given(st.integers(0, 2**32 - 1),  # st.randoms leans to its edge values
            st.sampled_from([DEMPSTER, YAGER, UNNORMALIZED]))
-    def test_infer_is_the_oracle_fold(self, rng, rule):
+    def test_infer_is_the_oracle_fold(self, seed, rule):
+        rng = random.Random(seed)
         frame = random_frame(rng, 2, 5)
         statements = random_statements(rng, frame, rng.randint(1, 6), 0.3)
         kb = KnowledgeBase(frame, "V", tuple(statements))
@@ -496,8 +523,9 @@ class TestInferOracle:
             assert structure_bits(infer(kb, rule)) == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_total_conflict_names_its_statement(self, rng):
+    @given(st.integers(0, 2**32 - 1))
+    def test_total_conflict_names_its_statement(self, seed):
+        rng = random.Random(seed)
         frame = random_frame(rng, 2, 5)
         head = random_statements(rng, frame, rng.randint(0, 3), 0)
         middle = random_statements(rng, frame, rng.randint(0, 3), 0)
@@ -632,9 +660,10 @@ class TestInferCache:
         assert folds == [DEMPSTER, YAGER, DEMPSTER]
 
     @settings(max_examples=150, deadline=None)
-    @given(st.randoms(use_true_random=False),
+    @given(st.integers(0, 2**32 - 1),
            st.sampled_from([*CELL_ROUTING_RULES, discount(F(2, 5))]))
-    def test_kept_result_is_a_fresh_fold(self, rng, rule):
+    def test_kept_result_is_a_fresh_fold(self, seed, rule):
+        rng = random.Random(seed)
         frame = random_frame(rng, 2, 5)
         kb = KnowledgeBase(frame, "V", tuple(
             random_statements(rng, frame, rng.randint(1, 6), 0.3)))
