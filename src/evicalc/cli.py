@@ -13,16 +13,13 @@ which it writes first, so a failing run or write leaves stdout empty.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 from . import io
 from .combine import _combine_with_conflict, combine_all, parse_rule
 from .core import BeliefStructure, FocalSet
-from .entailment import flow_entails, interval_contained, partition_entails
 from .errors import EvicalcError, _text
-from .kb import KnowledgeBase, infer, parse_kb, typical_summary
 
 
 class _LoadFailure(Exception):
@@ -45,10 +42,15 @@ def _load(path: str, parse):
         raise _LoadFailure(path, exc) from exc
 
 
-def _parse_any(text: str) -> BeliefStructure | KnowledgeBase:
+def _parse_kb(text: str):
+    from .kb import parse_kb
+    return parse_kb(text)
+
+
+def _parse_any(text: str):
     if io.sniff_kind(text) == "structure":
         return io.loads_structure(text)
-    return parse_kb(text)
+    return _parse_kb(text)
 
 
 def _parse_set(value: str, frame) -> FocalSet:
@@ -65,6 +67,8 @@ def _interval_text(m: BeliefStructure, target: FocalSet) -> str:
 
 
 # Each handler returns (stdout text, --out file text or None, exit code).
+# It imports what it runs beyond core, combine, errors and io (json too), so
+# that each command loads and compiles only the modules it runs.
 def _cmd_validate(args) -> tuple:
     m = _load(args["path"], io.loads_structure)
     return io.format_structure(m), None, 0
@@ -73,11 +77,12 @@ def _cmd_validate(args) -> tuple:
 def _cmd_query(args, parse=_parse_any) -> tuple:
     rule = parse_rule(args["--rule"])
     loaded = _load(args["path"], parse)
-    if isinstance(loaded, KnowledgeBase):
+    if isinstance(loaded, BeliefStructure):
+        m, head = loaded, ""
+    else:
+        from .kb import infer
         m = infer(loaded, rule)
         head = f"variable: {loaded.variable}\nrule: {rule}\n"
-    else:
-        m, head = loaded, ""
     target = _parse_set(args["--set"], m.frame)
     return head + _interval_text(m, target), None, 0
 
@@ -95,6 +100,7 @@ def _cmd_combine(args) -> tuple:
 
 
 def _cmd_entails(args) -> tuple:
+    from .entailment import flow_entails, interval_contained, partition_entails
     m1 = _load(args["path1"], io.loads_structure)
     m2 = _load(args["path2"], io.loads_structure)
     if args["--mode"] == "interval":
@@ -114,10 +120,8 @@ def _cmd_entails(args) -> tuple:
 
 
 def _cmd_monotone(args) -> tuple:
-    # Imported here and in _cmd_sweep only: MonotonicityReport is a
-    # dataclass, and the other commands start sooner without dataclasses.
+    import json
     from .monotonicity import pairwise_survey
-
     rules = [parse_rule(name) for name in args["--rules"].split(",")]
     m1 = _load(args["path1"], io.loads_structure)
     m2 = _load(args["path2"], io.loads_structure)
@@ -126,6 +130,7 @@ def _cmd_monotone(args) -> tuple:
 
 
 def _cmd_kb_infer(args) -> tuple:
+    from .kb import infer, parse_kb, typical_summary
     rule = parse_rule(args["--rule"])
     kb = _load(args["path"], parse_kb)
     head = f"variable: {kb.variable}\nrule: {rule}\n"
@@ -141,7 +146,6 @@ def _cmd_kb_infer(args) -> tuple:
 
 def _cmd_sweep(args) -> tuple:
     from .monotonicity import sweep, sweep_csv
-
     rule = parse_rule(args["--rule"])
     alphas = [part.strip() for part in args["--alphas"].split(",")]
     betas = [part.strip() for part in args["--betas"].split(",")]
@@ -167,7 +171,7 @@ COMMANDS = {
     "monotone": (_cmd_monotone, ("path1", "path2"), {"--rules": REQUIRED}),
     "kb-infer": (_cmd_kb_infer, ("path",),
                  {"--rule": "dempster", "--weaken-to": None, "--out": None}),
-    "kb-query": (lambda args: _cmd_query(args, parse_kb), ("path",), QUERY),
+    "kb-query": (lambda args: _cmd_query(args, _parse_kb), ("path",), QUERY),
     "sweep": (_cmd_sweep, (), {"--alphas": REQUIRED, "--betas": REQUIRED,
                                "--overlap": False, "--rule": REQUIRED,
                                "--out": None}),

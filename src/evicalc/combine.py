@@ -31,7 +31,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .core import (ZERO, ONE, BeliefStructure, FocalSet, Frame, MassLike,
-                   _check_frame, _num_text, _Value, mass_str, to_mass)
+                   _check_frame, _check_printable, _num_text, _Value,
+                   mass_str, to_mass)
 from .errors import EmptyTarget, SubnormalInput, TotalConflict, _text
 
 
@@ -63,6 +64,8 @@ class CombinationRule(_Value):
         elif not 0 <= c <= 1:
             raise ValueError(
                 f"discount weight {_num_text(c)} is outside [0, 1]")
+        else:  # so that every rule prints as the name parse_rule reads
+            _check_printable(c)
 
     def __str__(self) -> str:
         param = "" if self.param is None else f":{mass_str(self.param)}"

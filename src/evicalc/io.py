@@ -15,7 +15,6 @@ fractions, so writing is byte-stable.
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 
@@ -29,7 +28,6 @@ from .core import (
     mass_str,
     to_mass,
 )
-from .entailment import EntailmentWitness
 from .errors import EvicalcError
 
 
@@ -79,10 +77,12 @@ def structure_from_obj(obj: object) -> BeliefStructure:
 
 
 def dumps_structure(m: BeliefStructure) -> str:
+    import json
     return json.dumps(structure_to_obj(m), indent=2, ensure_ascii=False) + "\n"
 
 
 def loads_structure(text: str) -> BeliefStructure:
+    import json
     # parse_float sees the literal source text, so decimals convert exactly
     return structure_from_obj(json.loads(text, parse_float=_parse_mass))
 
@@ -97,7 +97,8 @@ def save_structure(m: BeliefStructure, path: str | os.PathLike) -> None:
         f.write(dumps_structure(m))
 
 
-def witness_to_obj(witness: EntailmentWitness) -> dict[str, object]:
+def witness_to_obj(witness) -> dict[str, object]:
+    """An :class:`evicalc.entailment.EntailmentWitness` as a JSON object."""
     return {
         "mode": witness.mode,
         "triples": [{"from": set_to_obj(a), "to": set_to_obj(b),
@@ -143,7 +144,8 @@ def format_structure(m: BeliefStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_witness(witness: EntailmentWitness) -> str:
+def format_witness(witness) -> str:
+    """An :class:`evicalc.entailment.EntailmentWitness` as text."""
     lines = ["witness:"]
     for a, b, w in witness.triples:
         lines.append(f"  {a.label()} -> {b.label()} : {mass_str(w)}")

@@ -36,7 +36,6 @@ from .combine import DEMPSTER, CombinationRule, _fold
 from .core import (ONE, BeliefStructure, FocalSet, Frame, MassLike,
                    ProbabilityInterval, _check_frame, _num_text, _parse_mass,
                    _typical_form, _Value)
-from .entailment import weaken_to
 from .errors import (
     MissingFrame,
     ParseError,
@@ -291,4 +290,5 @@ def typical_summary(kb: KnowledgeBase, rule: CombinationRule,
     inferred belief in it; the full inference always flow-entails it.
     Like :func:`query`, it shares the fold :func:`infer` keeps.
     """
+    from .entailment import weaken_to
     return weaken_to(infer(kb, rule), target)

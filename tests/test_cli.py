@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -682,11 +684,12 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
         # without site, which may import them itself, typing, pathlib and
-        # dataclasses (with inspect) stay out too, and so does monotonicity,
-        # whose reports are dataclasses
+        # dataclasses (with inspect) stay out too, and so do json and the
+        # modules a command may not run: each handler imports its own
         done = self.python("import sys, evicalc.cli; print(sorted("
                            "{'networkx', 'typing', 'pathlib', 'dataclasses', "
-                           "'inspect', 'evicalc.monotonicity'} "
+                           "'inspect', 'json', 'evicalc.entailment', "
+                           "'evicalc.kb', 'evicalc.monotonicity'} "
                            "& sys.modules.keys()))", flags=("-S",))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
@@ -728,32 +731,126 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
-    def test_monotonicity_loads_on_first_use(self):
+    def test_lazy_modules_load_on_first_use(self):
+        # each lazy module loads when one of its names is first read, and
+        # none rebinds a public name of the package: combine stays the
+        # function, not the submodule of that name
         done = self.python(
-            "import sys, evicalc; "
-            "before = 'evicalc.monotonicity' in sys.modules; "
-            "names = [evicalc.MonotonicityReport.__name__, "
-            "evicalc.sweep.__module__]; "
-            "print(before, names, 'evicalc.monotonicity' in sys.modules)")
+            "import sys, evicalc\n"
+            "homes = ['entailment', 'kb', 'monotonicity']\n"
+            "seen = [[h for h in homes if f'evicalc.{h}' in sys.modules]]\n"
+            "for name in ('hedge', 'parse_kb', 'MonotonicityReport'):\n"
+            "    seen.append(getattr(evicalc, name).__module__)\n"
+            "    seen.append([h for h in homes\n"
+            "                 if f'evicalc.{h}' in sys.modules])\n"
+            "combine = sys.modules['evicalc.combine'].combine\n"
+            "print(seen, evicalc.combine is combine)\n", flags=("-S",))
         assert done.returncode == 0, done.stderr
-        assert done.stdout == ("False ['MonotonicityReport', "
-                               "'evicalc.monotonicity'] True\n")
+        assert done.stdout == (
+            "[[], 'evicalc.entailment', ['entailment'], 'evicalc.kb', "
+            "['entailment', 'kb'], 'evicalc.monotonicity', "
+            "['entailment', 'kb', 'monotonicity']] True\n")
         with pytest.raises(AttributeError, match="no attribute 'nothing'"):
             evicalc.nothing
-        for golden, argv in (
-                ("survey_disjoint", ("monotone", DATA / "desk_a.bs",
-                                     DATA / "desk_b_disjoint.bs", "--rules",
-                                     "dempster,yager,dubois-prade,discount:"
-                                     "1/2,priority-first,priority-second,"
-                                     "unnormalized")),
-                ("sweep_dempster", ("sweep", "--alphas",
-                                    "1/10,3/10,5/10,7/10,9/10", "--betas",
-                                    "1/10,3/10,5/10,7/10,9/10", "--rule",
-                                    "dempster"))):
-            done = self.python("import runpy; runpy.run_module('evicalc', "
-                               "run_name='__main__')", *argv)
-            assert done.returncode == 0, done.stderr
+
+    def test_lazy_modules_import_from_the_package(self):
+        done = self.python(
+            "import evicalc\n"
+            "from evicalc import entailment, kb\n"
+            "print(entailment.flow_entails is evicalc.flow_entails,\n"
+            "      kb.infer is evicalc.infer, evicalc.monotonicity.__name__,\n"
+            "      callable(evicalc.combine))\n", flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True True evicalc.monotonicity True\n"
+
+    def test_public_names_are_their_modules_objects(self):
+        modules = {name: importlib.import_module(f"evicalc.{name}")
+                   for name in ("core", "combine", "entailment", "errors",
+                                "io", "kb", "monotonicity")}
+        for name in evicalc.__all__:
+            value = getattr(evicalc, name)
+            if name in ("errors", "io"):  # combine is the function
+                assert value is modules[name]
+                continue
+            holders = [m for m in modules.values() if name in vars(m)]
+            assert holders, name
+            assert all(vars(m)[name] is value for m in holders), name
+
+    def test_dir_lists_every_public_name(self):
+        listed = set(dir(evicalc))
+        assert set(evicalc.__all__) <= listed
+        assert {"entailment", "kb", "monotonicity"} <= listed
+
+    # What each command loads of these, run as `python -S -m evicalc`;
+    # SAVED stands for an -o path in the test's own directory
+    SAVED = "<the saved file>"
+    WATCHED = ("evicalc.entailment", "evicalc.kb", "evicalc.monotonicity",
+               "json", "dataclasses", "inspect", "argparse", "typing",
+               "pathlib")
+    BY_COMMAND = [
+        ("validate", ("validate", GOLDEN / "noconflict.bs"),
+         "validate_noconflict", {"json"}),
+        ("combine", ("combine", DATA / "desk_a.bs",
+                     DATA / "desk_b_disjoint.bs", "--rule", "yager"),
+         "combine_yager_disjoint", {"json"}),
+        ("combine-o", ("combine", DATA / "desk_a.bs",
+                       DATA / "desk_b_overlap.bs", "--rule", "dempster",
+                       "-o", SAVED),
+         "combine_dempster_overlap", {"json"}),
+        ("entails-flow", ("entails", DATA / "typical_b_99.bs",
+                          DATA / "typical_b_90.bs", "--mode", "flow"),
+         "hedge_flow", {"evicalc.entailment", "json"}),
+        ("entails-interval", ("entails", GOLDEN / "conflict.bs",
+                              DATA / "desk_a.bs", "--mode", "interval"),
+         "entails_conflict_interval", {"evicalc.entailment", "json"}),
+        ("kb-infer", ("kb-infer", DATA / "kb_equal_half.kb"),
+         "kb_equal_half_infer", {"evicalc.kb"}),
+        ("kb-infer-weaken", ("kb-infer", DATA / "kb_overlap_strong.kb",
+                             "--weaken-to", "b"),
+         "kb_overlap_weaken", {"evicalc.kb", "evicalc.entailment"}),
+        ("kb-query", ("kb-query", DATA / "kb_equal_half.kb", "--set", "a,b"),
+         "kb_equal_half_query", {"evicalc.kb"}),
+        ("query-bs", ("query", DATA / "desk_a.bs", "--set", "a"), None,
+         {"json"}),
+        ("query-kb", ("query", DATA / "kb_strong_weak.kb", "--set", "c,d"),
+         None, {"evicalc.kb"}),
+        ("monotone", ("monotone", DATA / "desk_a.bs",
+                      DATA / "desk_b_disjoint.bs", "--rules",
+                      "dempster,yager,dubois-prade,discount:1/2,"
+                      "priority-first,priority-second,unnormalized"),
+         "survey_disjoint", {"evicalc.entailment", "evicalc.monotonicity",
+                             "json", "dataclasses", "inspect"}),
+        ("sweep", ("sweep", "--alphas", "1/10,3/10,5/10,7/10,9/10",
+                   "--betas", "1/10,3/10,5/10,7/10,9/10", "--rule",
+                   "dempster"),
+         "sweep_dempster", {"evicalc.entailment", "evicalc.monotonicity",
+                            "dataclasses", "inspect"}),
+    ]
+
+    @pytest.mark.parametrize("argv, golden, loads",
+                             [case[1:] for case in BY_COMMAND],
+                             ids=[case[0] for case in BY_COMMAND])
+    def test_each_command_loads_only_what_it_runs(self, capsys, tmp_path,
+                                                  argv, golden, loads):
+        # a fresh process per command, without site, which may import
+        # modules itself; the modules it loaded go to stderr at exit
+        saved = tmp_path / "saved.bs"
+        done = self.python(
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('evicalc', run_name='__main__')\n"
+            "finally:\n"
+            f"    print(sorted(set({self.WATCHED!r}) & sys.modules.keys()),\n"
+            "          file=sys.stderr)\n",
+            *(saved if a == self.SAVED else a for a in argv), flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == f"{sorted(loads)}\n"
+        if golden is None:  # query has no golden command
+            assert run(capsys, *argv) == (0, done.stdout, "")
+        else:
             assert done.stdout == (GOLDEN / f"{golden}.txt").read_text()
+        if self.SAVED in argv:
+            assert saved.read_text() == (GOLDEN / "noconflict.bs").read_text()
 
     def test_star_import_binds_every_public_name(self):
         namespace = {}
@@ -915,10 +1012,14 @@ def cli_runs(draw):
 
 COMMANDS = ["validate", "query", "combine", "entails", "monotone",
             "kb-infer", "kb-query", "sweep"]
+# Files in the argv fuzz's directory, so that accepted command lines reach
+# the handlers: each name there is a copy of the data file named here.
+FUZZ_FILES = {"desk.bs": "desk_a.bs", "half.kb": "kb_equal_half.kb"}
 OPTIONS = ["--set", "--rule", "--mode", "--mode=bogus", "--assert", "--rules",
            "--weaken-to", "-o", "--out", "--alphas", "--betas", "--overlap",
            "--bogus", "-", "--"]
 JUNK = st.one_of(
+    st.sampled_from(list(FUZZ_FILES)),
     st.sampled_from(["bogus", "", "a\nb", "flow", "dempster", "1/2", "a,b",
                      "v" * 5000, "--mode=" + "w" * 300, "--rule=" + "r" * 300,
                      "missing.bs"]),
@@ -988,10 +1089,12 @@ class TestFuzz:
     def test_malformed_argv_is_one_usage_line(self, argv):
         """A command line the parser refuses exits 2 with an empty stdout
         and one ``error:`` line, each long value shown by its length; one it
-        accepts keeps the contract above.  Runs in an empty directory, so
-        that no path names a file and an -o writes nowhere else."""
+        accepts keeps the contract above.  Runs in a directory that holds
+        only the FUZZ_FILES, so that an -o writes nowhere else."""
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
+            for name, source in FUZZ_FILES.items():
+                shutil.copyfile(DATA / source, os.path.join(tmp, name))
             os.chdir(tmp)
             out = TextIOWrapper(BytesIO(), "utf-8", write_through=True)
             # the interpreter's own stderr escapes what UTF-8 cannot encode

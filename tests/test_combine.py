@@ -243,6 +243,16 @@ class TestCombineContracts:
             CombinationRule("discount", F(-1, 2))
         assert str(err.value) == "discount weight -1/2 is outside [0, 1]"
 
+    def test_discount_weight_too_long_to_print_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            CombinationRule("discount", F(1, 10**4400))
+        assert str(err.value) == ("mass 1/<4401 digits> has more than 4300 "
+                                  "digits, too many to print")
+        # 4300 digits, the most str() prints: the rule still round-trips
+        for weight in (F(1, 10**4299), 1 - F(1, 10**4299)):
+            rule = CombinationRule("discount", weight)
+            assert parse_rule(str(rule)) == rule
+
     def test_rules_print_as_parse_rule_reads_them(self):
         for rule in CELL_ROUTING_RULES:
             assert parse_rule(str(rule)) is rule
