@@ -17,12 +17,12 @@ its weight, and ``_CONFLICT_TARGET`` is the one list of these kinds:
 mixture c*m1 + (1-c)*m2.
 
 The table is never built cell by cell.  A structure stores its integer form
-(bitmask -> numerator over one common denominator).  One product pass,
-:func:`_product`, over two forms yields the routed numerators and K, taking
-the full set's row (X & a = a) as one scaled copy; :func:`conflict_mass`
-runs a pass of its own for K alone.  The one fold, :func:`_fold`, takes
-numbered forms in (a structure's or a statement's), in the order given,
-and builds one structure.
+(bitmask -> numerator over one common denominator).  The one fold,
+:func:`_fold`, takes numbered forms in (a structure's or a statement's), in
+the order given, and makes one product pass per step: it routes each cell's
+weight and sums K, taking the full set's row (X & a = a) as one scaled copy,
+and builds one structure at the end.  :func:`conflict_mass` sums K over the
+same cells and builds no table.
 """
 
 from __future__ import annotations
@@ -94,10 +94,12 @@ def parse_rule(text: str) -> CombinationRule:
 
 
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
-    """The conflict K: total product weight landing on empty intersections."""
+    """The conflict K: total product weight landing on empty intersections,
+    summed cell by cell with no table (subnormal input is counted too)."""
     _check_frame(m1.frame, m2, BeliefStructure)
-    return Fraction(_product(m1._nums, m2._nums, None, None)[1],
-                    m1._den * m2._den)
+    n2 = m2._nums.items()
+    return Fraction(sum(wa * wb for a, wa in m1._nums.items()
+                        for b, wb in n2 if not a & b), m1._den * m2._den)
 
 
 def possibility(b: FocalSet, a: FocalSet) -> Fraction:
@@ -110,44 +112,22 @@ def possibility(b: FocalSet, a: FocalSet) -> Fraction:
     return ONE if a.intersects(b) else ZERO
 
 
-def _product(n1, n2, route, full: int | None) -> tuple[dict[int, int], int]:
-    """One pass over the product table of two integer forms: the cell
-    weights (over d1 * d2) summed by target, and the conflict numerator K.
-    X's row (``full``) is n1 scaled, so n1 must not hold the empty set;
-    ``full=None`` counts every cell, for subnormal input."""
-    wx = n2.get(full)
-    out = {a: wa * wx for a, wa in n1.items()} if wx else {}
-    conflict = 0
-    # n2 outside: a fold step's right operand is the small one
-    for b, wb in n2.items():
-        if b == full:
-            continue
-        for a, wa in n1.items():
-            w = wa * wb
-            target = a & b
-            if not target:
-                conflict += w
-                if route is None:
-                    continue
-                target = route(a, b, full)
-            out[target] = out.get(target, 0) + w
-    return out, conflict
-
-
 def _fold(frame: Frame,
           forms: Iterable[tuple[int, tuple[dict[int, int], int]]],
           rule: CombinationRule):
     """The left fold of one or more integer forms on one frame, in the
     order given, built into one structure at the end, and the last step's
-    conflict numerator K (None under discount, which builds no product
-    table).  Each form comes as (position from 1, form), and a
+    conflict numerator K (None under discount, which mixes instead).  Each
+    step is one pass over the product table that routes every cell by the
+    rule and sums K.  Each form comes as (position from 1, form), and a
     TotalConflict names the position of the form that reached K = 1."""
     forms = iter(forms)
     full = frame.full.bits  # read once: each read builds a new FocalSet
+    route = _CONFLICT_TARGET.get(rule.kind)
     nums, den = next(forms)[1]
     conflict = None
     for index, (n2, d2) in forms:
-        if 0 in nums or 0 in n2:  # which lets _product copy X's row
+        if 0 in nums or 0 in n2:  # which lets X's row below copy nums
             raise SubnormalInput(
                 "combination requires normal input structures")
         if rule.kind == "discount":
@@ -157,15 +137,30 @@ def _fold(frame: Frame,
                 out[b] = out.get(b, 0) + (q - p) * den * w
             nums = {f: w for f, w in out.items() if w}  # c = 0 or c = 1
             den *= q * d2
-        else:
-            nums, conflict = _product(nums, n2, _CONFLICT_TARGET[rule.kind],
-                                      full)
-            # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
-            den = den * d2 - (conflict if rule.kind == "dempster" else 0)
-            if not den:
-                raise TotalConflict(
-                    f"total conflict (K = 1) while combining statement "
-                    f"{index} into the running result", statement_index=index)
+            continue
+        wx = n2.get(full)
+        out = {a: wa * wx for a, wa in nums.items()} if wx else {}
+        conflict = 0
+        # n2 outside: a fold step's right operand is the small one
+        for b, wb in n2.items():
+            if b == full:
+                continue
+            for a, wa in nums.items():
+                w = wa * wb
+                target = a & b
+                if not target:
+                    conflict += w
+                    if route is None:
+                        continue
+                    target = route(a, b, full)
+                out[target] = out.get(target, 0) + w
+        nums = out
+        # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
+        den = den * d2 - (conflict if rule.kind == "dempster" else 0)
+        if not den:
+            raise TotalConflict(
+                f"total conflict (K = 1) while combining statement "
+                f"{index} into the running result", statement_index=index)
     return BeliefStructure._from_form(
         frame, nums, den, subnormal=rule.kind == "unnormalized"), conflict
 

@@ -63,7 +63,9 @@ def _parse_mass(value: MassLike) -> Fraction:
     if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
         raise ValueError(f"mass {_text(text)} has an exponent beyond "
                          f"{MAX_EXPONENT} in magnitude")
-    try:
+    try:  # Fraction reads "1_0" from Python 3.11 and "1 / 2" from 3.12
+        if "_" in text or len(text.split()) > 1:
+            raise ValueError("outside the grammar of Python 3.10")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse mass {_text(value)}") from exc

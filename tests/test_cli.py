@@ -13,7 +13,7 @@ from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import evicalc
@@ -342,6 +342,21 @@ class TestCombine:
         assert "rule: dempster" in out
         # conflict line only appears for exactly two inputs
         assert "conflict:" not in out
+
+    def test_underscored_mass_is_refused(self, capsys, tmp_path):
+        # Python 3.11's Fraction reads "1_0/2_0"; the mass grammar does not
+        code, out, err = run(capsys, "combine", DATA / "desk_a.bs",
+                             DATA / "desk_b_overlap.bs",
+                             "--rule", "discount:1_0/2_0")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: cannot parse mass '1_0/2_0'"]
+        path = tmp_path / "underscored.bs"
+        path.write_text('{"frame": ["a"], "masses": [{"set": ["a"], '
+                        '"mass": "1_0/1_0"}]}', encoding="utf-8")
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: ValueError: cannot parse mass '1_0/1_0'"]
 
     def test_unknown_rule_exits_2(self, capsys):
         code, _, err = run(capsys, "combine", DATA / "desk_a.bs",
@@ -1015,6 +1030,9 @@ COMMANDS = ["validate", "query", "combine", "entails", "monotone",
 # Files in the argv fuzz's directory, so that accepted command lines reach
 # the handlers: each name there is a copy of the data file named here.
 FUZZ_FILES = {"desk.bs": "desk_a.bs", "half.kb": "kb_equal_half.kb"}
+# No "/" in drawn text, so that an -o value is a name in that directory
+FUZZ_CHARACTERS = st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters="/")
 OPTIONS = ["--set", "--rule", "--mode", "--mode=bogus", "--assert", "--rules",
            "--weaken-to", "-o", "--out", "--alphas", "--betas", "--overlap",
            "--bogus", "-", "--"]
@@ -1023,7 +1041,7 @@ JUNK = st.one_of(
     st.sampled_from(["bogus", "", "a\nb", "flow", "dempster", "1/2", "a,b",
                      "v" * 5000, "--mode=" + "w" * 300, "--rule=" + "r" * 300,
                      "missing.bs"]),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    st.text(FUZZ_CHARACTERS, max_size=8))
 
 
 @st.composite
@@ -1035,6 +1053,50 @@ def malformed_argv(draw):
                                    st.sampled_from(OPTIONS), JUNK),
                          max_size=6))
     return [head, *rest]
+
+
+# The grammar as the README states it, written out independently of
+# cli.COMMANDS: each command's positional count and its options, True for
+# a flag.  combine reads two or more paths.
+GRAMMAR = {
+    "validate": (st.just(1), {}),
+    "query": (st.just(1), {"--set": False, "--rule": False}),
+    "combine": (st.integers(2, 4), {"--rule": False, "--out": False}),
+    "entails": (st.just(2), {"--mode": False, "--assert": True}),
+    "monotone": (st.just(2), {"--rules": False}),
+    "kb-infer": (st.just(1), {"--rule": False, "--weaken-to": False,
+                              "--out": False}),
+    "kb-query": (st.just(1), {"--set": False, "--rule": False}),
+    "sweep": (st.just(0), {"--alphas": False, "--betas": False,
+                           "--overlap": True, "--rule": False,
+                           "--out": False}),
+}
+VALUES = st.one_of(
+    st.sampled_from([*FUZZ_FILES, "flow", "partition", "interval", "a.bs",
+                     "x=y", "", "dempster", "yager", "discount:1/2",
+                     "dempster,yager", "a,b", "1/2", "1/2,3/4", "validate"]),
+    st.text(FUZZ_CHARACTERS, max_size=6)).filter(
+        lambda value: not value.startswith("-"))
+ORACLE = argparse_oracle()
+
+
+@st.composite
+def grammar_argv(draw):
+    """A command line from GRAMMAR: its positionals and options in any
+    order, each option given 0 to 2 times in either spelling (-o too)."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    count, options = GRAMMAR[command]
+    groups = [[draw(VALUES)] for _ in range(draw(count))]
+    for name, flag in options.items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            spelled = draw(st.sampled_from(
+                [name, "-o"] if name == "--out" else [name]))
+            value = draw(VALUES)
+            groups.append([spelled] if flag
+                          else draw(st.sampled_from([[spelled, value],
+                                                     [f"{spelled}={value}"]])))
+    return [command, *(token for group in draw(st.permutations(groups))
+                       for token in group)]
 
 
 class TestFuzz:
@@ -1084,13 +1146,15 @@ class TestFuzz:
             assert out.endswith(io.format_structure(
                 io.loads_structure(saved)).encode())
 
-    @given(malformed_argv())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(malformed_argv(), grammar_argv()))
+    @settings(max_examples=400, deadline=None)
     def test_malformed_argv_is_one_usage_line(self, argv):
         """A command line the parser refuses exits 2 with an empty stdout
         and one ``error:`` line, each long value shown by its length; one it
-        accepts keeps the contract above.  Runs in a directory that holds
-        only the FUZZ_FILES, so that an -o writes nowhere else."""
+        accepts keeps the contract above.  Junk lines and lines of the
+        grammar are both drawn, the latter mostly reaching a handler.  Runs
+        in a directory that holds only the FUZZ_FILES, so that an -o writes
+        nowhere else."""
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
             for name, source in FUZZ_FILES.items():
@@ -1109,6 +1173,7 @@ class TestFuzz:
                 usage_error = False
             finally:
                 os.chdir(cwd)
+        event("refused by the parser" if usage_error else "reached a handler")
         out, err = out.buffer.getvalue(), err.buffer.getvalue()
         assert code in (0, 1, 2)
         if code:
@@ -1118,49 +1183,6 @@ class TestFuzz:
             assert not usage_error or (code == 2 and len(err) < 1000)
         else:
             assert err == b""
-
-
-# The grammar as the README states it, written out independently of
-# cli.COMMANDS: each command's positional count and its options, True for
-# a flag.  combine reads two or more paths.
-GRAMMAR = {
-    "validate": (st.just(1), {}),
-    "query": (st.just(1), {"--set": False, "--rule": False}),
-    "combine": (st.integers(2, 4), {"--rule": False, "--out": False}),
-    "entails": (st.just(2), {"--mode": False, "--assert": True}),
-    "monotone": (st.just(2), {"--rules": False}),
-    "kb-infer": (st.just(1), {"--rule": False, "--weaken-to": False,
-                              "--out": False}),
-    "kb-query": (st.just(1), {"--set": False, "--rule": False}),
-    "sweep": (st.just(0), {"--alphas": False, "--betas": False,
-                           "--overlap": True, "--rule": False,
-                           "--out": False}),
-}
-VALUES = st.one_of(
-    st.sampled_from(["flow", "partition", "interval", "a.bs", "x=y", "",
-                     "dempster", "1/2,3/4", "validate"]),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)).filter(
-        lambda value: not value.startswith("-"))
-ORACLE = argparse_oracle()
-
-
-@st.composite
-def grammar_argv(draw):
-    """A command line from GRAMMAR: its positionals and options in any
-    order, each option given 0 to 2 times in either spelling (-o too)."""
-    command = draw(st.sampled_from(sorted(GRAMMAR)))
-    count, options = GRAMMAR[command]
-    groups = [[draw(VALUES)] for _ in range(draw(count))]
-    for name, flag in options.items():
-        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
-            spelled = draw(st.sampled_from(
-                [name, "-o"] if name == "--out" else [name]))
-            value = draw(VALUES)
-            groups.append([spelled] if flag
-                          else draw(st.sampled_from([[spelled, value],
-                                                     [f"{spelled}={value}"]])))
-    return [command, *(token for group in draw(st.permutations(groups))
-                       for token in group)]
 
 
 class TestArgparseOracle:

@@ -1,6 +1,10 @@
+import json
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +30,14 @@ from evicalc import (
     possibility,
 )
 from evicalc import monotonicity
+from evicalc.combine import _combine_with_conflict
 from evicalc.errors import (
     EmptyTarget,
     FrameMismatch,
     SubnormalInput,
     TotalConflict,
 )
+from evicalc.io import load_structure
 
 from conftest import structure_pairs
 from oracles import (
@@ -528,10 +534,10 @@ def structure_with_full(rng, frame, full_set):
 
 
 class TestFullSetRow:
-    """_product takes the row of the right operand's full set X as one
-    scaled copy of the left form (X & a = a).  With X on the left, the
-    right, both sides or neither, combine and combine_all still give the
-    cell-by-cell oracle's result under every cell-routing rule."""
+    """The fold's product pass takes the row of the right operand's full
+    set X as one scaled copy of the left form (X & a = a).  With X on the
+    left, the right, both sides or neither, combine and combine_all still
+    give the cell-by-cell oracle's result under every cell-routing rule."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.randoms(use_true_random=False),
@@ -596,3 +602,101 @@ class TestUnequalOperands:
         expected = oracle_combine(m1, m2, rule)
         assert bits_of(combine(m1, m2, rule)) == \
             {bits: w for bits, w in expected.items() if w}
+
+
+class TestTableFreeConflict:
+    """conflict_mass sums K cell by cell and builds no table: on two
+    400-focal structures, whose product has 160,000 cells, it equals the
+    K of the fold's own pass, and its traced peak stays under 1 MB (a
+    table of the intersections takes about 10 MB)."""
+
+    def test_large_pair(self):
+        rng = random.Random(26)
+        frame = Frame([f"x{i}" for i in range(24)])
+        m1, m2 = (sized_structure(rng, frame, 400) for _ in range(2))
+        tracemalloc.start()
+        try:
+            conflict = conflict_mass(m1, m2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < conflict == _combine_with_conflict(m1, m2, YAGER)[1]
+        assert peak < 1 << 20
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+# Each golden combination table, with the rule and the second desk file it
+# was made from (the first is desk_a.bs), as scripts/golden_tables.sh runs
+# them; and the -o structures, with the table printed alongside.
+GOLDEN_TABLES = {
+    "combine_dempster_overlap": ("dempster", "desk_b_overlap.bs"),
+    "combine_dempster_disjoint": ("dempster", "desk_b_disjoint.bs"),
+    "combine_yager_disjoint": ("yager", "desk_b_disjoint.bs"),
+    "combine_dubois_prade_disjoint": ("dubois-prade", "desk_b_disjoint.bs"),
+    "combine_unnormalized_disjoint": ("unnormalized", "desk_b_disjoint.bs"),
+    "combine_priority_first_disjoint": ("priority-first",
+                                        "desk_b_disjoint.bs"),
+    "combine_priority_second_disjoint": ("priority-second",
+                                         "desk_b_disjoint.bs"),
+    "combine_discount_half_disjoint": ("discount:1/2", "desk_b_disjoint.bs"),
+}
+GOLDEN_SAVED = {"noconflict.bs": "combine_dempster_overlap",
+                "conflict.bs": "combine_dempster_disjoint",
+                "unnormalized.bs": "combine_unnormalized_disjoint"}
+MASS_LINE = re.compile(r"m\(\{(.*)\}\) = (\d+(?:/\d+)?) ~ (\d+\.\d{6})")
+
+
+def golden_expected(name):
+    """The inputs' frame, the rule's name, and the oracle's K and masses
+    (bits -> mass, zero masses left out) for one golden table."""
+    rule, second = GOLDEN_TABLES[name]
+    m1, m2 = load_structure(DATA / "desk_a.bs"), load_structure(DATA / second)
+    masses = oracle_combine(m1, m2, parse_rule(rule))
+    return (m1.frame, rule, oracle_conflict(m1, m2),
+            {bits: w for bits, w in masses.items() if w})
+
+
+def assert_decimal(text, value):
+    """``text`` is ``value`` to 6 places."""
+    assert abs(F(text) - value) <= F(1, 2 * 10**6)
+
+
+class TestGoldenAudit:
+    """The checked-in combination goldens re-derived from the cell-by-cell
+    oracles, not from the program: every rule, conflict and mass line of
+    each table, and every mass of each -o structure, compared with ==."""
+
+    def test_every_table_is_audited(self):
+        assert sorted(p.stem for p in GOLDEN.glob("combine_*.txt")) == \
+            sorted(GOLDEN_TABLES)
+        assert set(GOLDEN_SAVED) == {p.name for p in GOLDEN.glob("*.bs")}
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+    def test_table(self, name):
+        frame, rule, conflict, masses = golden_expected(name)
+        lines = (GOLDEN / f"{name}.txt").read_text("utf-8").splitlines()
+        head = dict(line.split(": ", 1) for line in lines[:5])
+        assert head["rule"] == rule
+        text, decimal = head["conflict"].split(" ~ ")
+        assert F(text) == conflict
+        assert_decimal(decimal, conflict)
+        assert head["frame"] == ", ".join(frame.atoms)
+        assert head["subnormal"] == str(0 in masses).lower()
+        assert head["focal elements"] == str(len(masses))
+        printed = {}
+        for line in lines[5:]:
+            atoms, mass, decimal = MASS_LINE.fullmatch(line).groups()
+            bits = frame.subset(atoms.split(", ") if atoms else []).bits
+            printed[bits] = F(mass)
+            assert_decimal(decimal, printed[bits])
+        assert printed == masses
+
+    @pytest.mark.parametrize("saved", sorted(GOLDEN_SAVED))
+    def test_saved_structure(self, saved):
+        frame, _, _, masses = golden_expected(GOLDEN_SAVED[saved])
+        doc = json.loads((GOLDEN / saved).read_text("utf-8"))
+        assert doc["frame"] == list(frame.atoms)
+        assert doc["subnormal"] is (0 in masses)
+        assert {frame.subset(entry["set"]).bits: F(entry["mass"])
+                for entry in doc["masses"]} == masses

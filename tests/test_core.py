@@ -51,6 +51,16 @@ class TestMass:
             with pytest.raises(ValueError, match="exponent beyond 4300"):
                 to_mass(text)
 
+    @pytest.mark.parametrize("text", ["1_0/2_0", "0.2_5", "1 / 2", "1/ 2",
+                                      "2.5e-1_0", "1\t/2", "1/2_"])
+    def test_grammar_is_the_same_on_every_python(self, text):
+        # Python 3.11's Fraction reads underscores and 3.12's spaces
+        # around "/"; neither is part of the mass grammar
+        with pytest.raises(ValueError, match="^cannot parse mass '"):
+            to_mass(text)
+        assert to_mass(" 25E-02 ") == F(1, 4)
+        assert to_mass("\t+1/2\n") == F(1, 2)
+
     def test_negative_rejected(self):
         with pytest.raises(NegativeMass):
             to_mass("-1/2")
