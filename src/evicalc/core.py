@@ -20,6 +20,7 @@ from operator import add
 
 from .errors import (
     EmptyFocalInNormal,
+    ExponentTooLarge,
     FrameMismatch,
     FrameTooLarge,
     MassSumNotOne,
@@ -61,8 +62,8 @@ def _parse_mass(value: MassLike) -> Fraction:
     exp = text.lower().partition("e")[2].strip().lstrip("+-")
     exp = exp.replace("_", "").lstrip("0")
     if exp.isdecimal() and (len(exp) > 4 or int(exp) > MAX_EXPONENT):
-        raise ValueError(f"mass {_text(text)} has an exponent beyond "
-                         f"{MAX_EXPONENT} in magnitude")
+        raise ExponentTooLarge(f"mass {_text(text)} has an exponent beyond "
+                               f"{MAX_EXPONENT} in magnitude")
     try:  # Fraction reads "1_0" from Python 3.11 and "1 / 2" from 3.12
         if "_" in text or len(text.split()) > 1:
             raise ValueError("outside the grammar of Python 3.10")

@@ -67,6 +67,11 @@ class TotalConflict(EvicalcError):
         self.statement_index = statement_index
 
 
+class ExponentTooLarge(EvicalcError, ValueError):
+    """A decimal number's exponent is past ``core.MAX_EXPONENT`` in
+    magnitude; a ValueError too, as every other malformed number is."""
+
+
 class SearchBudgetExceeded(EvicalcError):
     """An exact search hit its node budget before reaching an answer."""
 

@@ -21,6 +21,14 @@ priority rule's result the operand it routes conflict to (a certified
 normal result keeps that input's intervals too); (2) an interval violation
 on a normal result, which proves that no flow exists; (3)
 :func:`flow_entails`, whose one-row Hall bound refutes before any max-flow.
+
+A survey makes the unnormalized product at most once per pair and reads
+from it every result that needs no other routing: the unnormalized result
+is the product itself, Dempster's drops its mass on the empty set and
+renormalizes the rest (Smets 1990), Yager's moves that mass to X (Yager
+1987), and at K = 0 every cell-routing rule gives the product.  Only
+Dubois-Prade and the priority rules at K > 0, which route each conflicting
+cell apart, and discount, which mixes instead, make a pass of their own.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import CombinationRule, _combine_with_conflict
+from .combine import (_CONFLICT_TARGET, UNNORMALIZED, CombinationRule,
+                      _combine_with_conflict)
 from .core import (
     ONE,
     BeliefStructure,
@@ -84,6 +93,13 @@ def monotonic_step(m_star: BeliefStructure, m_next: BeliefStructure,
     normal result, then :func:`flow_entails`.
     """
     combined, conflict = _combine_with_conflict(m_star, m_next, rule)
+    return _verdicts(m_star, m_next, rule, combined, conflict)
+
+
+def _verdicts(m_star: BeliefStructure, m_next: BeliefStructure,
+              rule: CombinationRule, combined: BeliefStructure,
+              conflict: Fraction) -> MonotonicityReport:
+    """The report of a step whose result under ``rule`` is ``combined``."""
     skipped = combined.is_subnormal
     certified = ((rule.kind != "discount",) * 2 if not conflict
                  else _CERTIFIED.get(rule.kind, (False, False)))
@@ -102,21 +118,50 @@ def monotonic_step(m_star: BeliefStructure, m_next: BeliefStructure,
                               combined, interval_skipped=skipped)
 
 
+def _from_product(m1: BeliefStructure, m2: BeliefStructure):
+    """The pair's K and, by rule kind, each cell-routing result read off
+    the one unnormalized product (None for Dempster at K = 1)."""
+    product, conflict = _combine_with_conflict(m1, m2, UNNORMALIZED)
+    if not conflict:
+        return conflict, dict.fromkeys(_CONFLICT_TARGET, product)
+    frame, nums, den = product.frame, product._nums, product._den
+    kept = {bits: w for bits, w in nums.items() if bits}
+    full = frame.full.bits
+    moved = {**kept, full: kept.get(full, 0) + nums[0]}
+    return conflict, {
+        "unnormalized": product,
+        "dempster": BeliefStructure._from_form(frame, kept, den - nums[0])
+        if kept else None,
+        "yager": BeliefStructure._from_form(frame, moved, den)}
+
+
+def _infeasible(rule: CombinationRule) -> MonotonicityReport:
+    return MonotonicityReport(rule, ONE, False, False, False, False, None,
+                              None, None, infeasible=True)
+
+
 def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,
                     rules: list[CombinationRule]) -> list[MonotonicityReport]:
     """One report per rule over the same pair, in the given rule order.
 
     A rule that cannot run (Dempster at K = 1) contributes a report marked
-    infeasible instead of aborting the survey; its conflict K is 1.
+    infeasible instead of aborting the survey; its conflict K is 1.  The
+    results that the unnormalized product gives (see the module docstring)
+    come from one pass over it.
     """
-    reports = []
+    reports, derived = [], {}
     for rule in rules:
+        if not derived and rule.kind != "discount":
+            conflict, derived = _from_product(m1, m2)
+        if rule.kind in derived:
+            combined = derived[rule.kind]
+            reports.append(_infeasible(rule) if combined is None
+                           else _verdicts(m1, m2, rule, combined, conflict))
+            continue
         try:
             reports.append(monotonic_step(m1, m2, rule))
         except TotalConflict:
-            reports.append(MonotonicityReport(
-                rule, ONE, False, False, False, False, None, None, None,
-                infeasible=True))
+            reports.append(_infeasible(rule))
     return reports
 
 

@@ -136,6 +136,11 @@ def oracle_monotonic_step(m1: BeliefStructure, m2: BeliefStructure,
                               combined, interval_skipped=skipped)
 
 
+def assert_decimal(text: str, value: Fraction) -> None:
+    """``text`` is ``value`` to 6 places: within half a unit in the 6th."""
+    assert abs(Fraction(text) - value) <= Fraction(1, 2 * 10**6)
+
+
 def structure_bits(m: BeliefStructure) -> dict[int, Fraction]:
     return {f.bits: w for f, w in m.items()}
 

@@ -93,8 +93,8 @@ class TestValidate:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.splitlines() == [
-            f"error: {path}: ValueError: mass '1e-100000000' has an exponent"
-            " beyond 4300 in magnitude"]
+            f"error: {path}: ExponentTooLarge: mass '1e-100000000' has an "
+            "exponent beyond 4300 in magnitude"]
 
     @pytest.mark.parametrize("atom, shown", [
         # printed as is, the name would forge a mass line of its own
@@ -342,6 +342,15 @@ class TestCombine:
         assert "rule: dempster" in out
         # conflict line only appears for exactly two inputs
         assert "conflict:" not in out
+
+    def test_huge_weight_exponent_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "combine", DATA / "desk_a.bs",
+                             DATA / "desk_b_overlap.bs",
+                             "--rule", "discount:1e-99999")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: ExponentTooLarge: mass '1e-99999' has an exponent beyond "
+            "4300 in magnitude"]
 
     def test_underscored_mass_is_refused(self, capsys, tmp_path):
         # Python 3.11's Fraction reads "1_0/2_0"; the mass grammar does not

@@ -41,6 +41,7 @@ from evicalc.io import load_structure
 
 from conftest import structure_pairs
 from oracles import (
+    assert_decimal,
     bridge_triple,
     oracle_combine,
     oracle_conflict,
@@ -655,11 +656,6 @@ def golden_expected(name):
     masses = oracle_combine(m1, m2, parse_rule(rule))
     return (m1.frame, rule, oracle_conflict(m1, m2),
             {bits: w for bits, w in masses.items() if w})
-
-
-def assert_decimal(text, value):
-    """``text`` is ``value`` to 6 places."""
-    assert abs(F(text) - value) <= F(1, 2 * 10**6)
 
 
 class TestGoldenAudit:

@@ -16,6 +16,7 @@ from evicalc.core import _num_text, _typical_form
 from evicalc.monotonicity import SweepRow, canonical_pair
 from evicalc.errors import (
     EmptyFocalInNormal,
+    ExponentTooLarge,
     FrameMismatch,
     FrameTooLarge,
     MassSumNotOne,
@@ -48,8 +49,11 @@ class TestMass:
         # Fraction would build 10**100000000 before any check: minutes
         for text in ("1e-100000000", "1E+4301", "2.5e-1_000_000",
                      "1e-" + "9" * 5000, " 1e-0004301 "):
-            with pytest.raises(ValueError, match="exponent beyond 4300"):
+            with pytest.raises(ExponentTooLarge,
+                               match="exponent beyond 4300") as caught:
                 to_mass(text)
+            # a ValueError too, for the callers that catch that
+            assert isinstance(caught.value, ValueError)
 
     @pytest.mark.parametrize("text", ["1_0/2_0", "0.2_5", "1 / 2", "1/ 2",
                                       "2.5e-1_0", "1\t/2", "1/2_"])

@@ -1,5 +1,8 @@
+import importlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,18 +17,28 @@ from evicalc import (
     UNNORMALIZED,
     YAGER,
     BeliefStructure,
+    Frame,
+    MonotonicityReport,
     canonical_pair,
     discount,
     monotonic_step,
     monotonicity,
     pairwise_survey,
+    parse_rule,
     sweep,
     sweep_csv,
 )
 from evicalc.errors import GridOutOfRange, TotalConflict
+from evicalc.io import load_structure, report_to_obj
 
 from oracles import (
+    assert_decimal,
+    naive_bel,
+    naive_pl,
     no_conflict_pair,
+    oracle_combine,
+    oracle_conflict,
+    oracle_interval_contained,
     oracle_monotonic_step,
     overlapping_pair,
     random_frame,
@@ -34,6 +47,10 @@ from oracles import (
 )
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+# The package binds the name `combine` to the function, not the module
+combine_module = importlib.import_module("evicalc.combine")
 
 
 class TestMonotonicStep:
@@ -172,6 +189,105 @@ class TestPairwiseSurvey:
         m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint=True)
         rules = [YAGER, DEMPSTER]
         assert [r.rule for r in pairwise_survey(m1, m2, rules)] == rules
+
+
+class TestSurveyFromOneProduct:
+    """A survey reads Dempster, Yager and every K = 0 result off one
+    unnormalized product; its reports must equal the per-rule steps'."""
+
+    RULES = TestStepOracle.RULES
+    KINDS = ["conflict-free", "conflicting", "total-conflict"]
+
+    @staticmethod
+    def pair(rng, kind):
+        frame = random_frame(rng, 2, 5)
+        if kind == "conflict-free":
+            return overlapping_pair(rng, frame, 3)
+        if kind == "total-conflict":
+            return total_conflict_pair(rng, frame, 3)
+        while True:
+            m1 = random_structure(rng, frame, 3)
+            m2 = random_structure(rng, frame, 3)
+            if any(not a.intersects(b) for a in m1.focal_sets()
+                   for b in m2.focal_sets()):
+                return m1, m2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(KINDS),
+           st.lists(st.sampled_from(RULES), max_size=12))
+    def test_survey_equals_the_steps(self, rng, kind, rules):
+        m1, m2 = self.pair(rng, kind)
+        expected = []
+        for rule in rules:
+            try:
+                expected.append(monotonic_step(m1, m2, rule))
+            except TotalConflict:
+                expected.append(MonotonicityReport(
+                    rule, F(1), False, False, False, False, None, None, None,
+                    infeasible=True))
+        assert pairwise_survey(m1, m2, rules) == expected
+
+    @pytest.mark.parametrize("disjoint, passes", [
+        (False, [UNNORMALIZED, discount(F(1, 2))]),
+        (True, [UNNORMALIZED, DUBOIS_PRADE, PRIORITY_FIRST, PRIORITY_SECOND,
+                discount(F(1, 2))])], ids=["K=0", "K>0"])
+    def test_product_passes(self, monkeypatch, disjoint, passes):
+        fold, folded = combine_module._fold, []
+
+        def counted(frame, forms, rule):
+            folded.append(rule)
+            return fold(frame, forms, rule)
+
+        monkeypatch.setattr(combine_module, "_fold", counted)
+        m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint)
+        pairwise_survey(m1, m2, [*CELL_ROUTING_RULES, discount(F(1, 2))])
+        assert folded == passes
+
+
+class TestGoldenAudit:
+    """The survey and sweep goldens re-derived from the oracles, not from
+    the program, with the inputs scripts/golden_tables.sh gives them."""
+
+    SURVEY_RULES = ("dempster", "yager", "dubois-prade", "discount:1/2",
+                    "priority-first", "priority-second", "unnormalized")
+    SWEEP_GRID = [F(k, 10) for k in (1, 3, 5, 7, 9)]
+
+    def test_survey_disjoint(self):
+        m1 = load_structure(DATA / "desk_a.bs")
+        m2 = load_structure(DATA / "desk_b_disjoint.bs")
+        rows = json.loads((GOLDEN / "survey_disjoint.txt").read_text("utf-8"))
+        assert rows == [
+            report_to_obj(oracle_monotonic_step(m1, m2, parse_rule(rule)))
+            for rule in self.SURVEY_RULES]
+
+    def test_sweep_dempster(self):
+        lines = (GOLDEN / "sweep_dempster.txt").read_text("utf-8") \
+            .splitlines()
+        assert lines[0] == ("alpha,alpha_exact,beta,beta_exact,K,K_exact,"
+                            "bel_A,bel_A_exact,pl_A,pl_A_exact,violation")
+        rows = [line.split(",") for line in lines[1:]]
+        grid = self.SWEEP_GRID
+        assert [(F(row[1]), F(row[3])) for row in rows] == \
+            [(alpha, beta) for alpha in grid for beta in grid]
+        frame = Frame("abcd")
+        a_set, b_set = frame.subset("ab"), frame.subset("cd")
+        for row in rows:
+            alpha, beta = F(row[1]), F(row[3])
+            m1 = BeliefStructure(frame, [(a_set, alpha),
+                                         (frame.full, 1 - alpha)])
+            m2 = BeliefStructure(frame, [(b_set, beta),
+                                         (frame.full, 1 - beta)])
+            combined = BeliefStructure(frame, [
+                (frame.from_bits(bits), w)
+                for bits, w in oracle_combine(m1, m2, DEMPSTER).items()])
+            exact = [alpha, beta, oracle_conflict(m1, m2),
+                     naive_bel(combined, a_set.bits),
+                     naive_pl(combined, a_set.bits)]
+            for column, value in enumerate(exact):
+                assert F(row[2 * column + 1]) == value
+                assert_decimal(row[2 * column], value)
+            contained, _ = oracle_interval_contained(combined, m1)
+            assert row[10] == ("false" if contained else "true")
 
 
 class TestSweep:
