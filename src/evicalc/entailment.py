@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     ZERO,
@@ -266,26 +267,30 @@ def interval_contained(
     outer[low] is d(X).  A violator there is the first one.  Otherwise one
     transform of all 2**n masks decides the rest.
     """
-    first, second, _ = _common_form(m1, m2)
+    _check_frame(m1.frame, m2, BeliefStructure)
     n = m1.frame._table_atoms("exhaustive interval check")
-    # empty-set mass counts toward neither bel nor pl
-    signed = [(bits, w) for bits, w in first if bits]
-    signed += [(bits, -w) for bits, w in second if bits]
+    den = lcm(m1._den, m2._den)
+    signed = ((m1._nums, den // m1._den), (m2._nums, -(den // m2._den)))
     k = n // 2
     low = (1 << k) - 1
     inner, outer = [0] * (low + 1), [0] * (low + 1)
-    for bits, w in signed:
-        outer[bits & low] += w
-        if bits <= low:
-            inner[bits] += w
+    for nums, scale in signed:
+        for bits, w in nums.items():
+            if bits:  # empty-set mass counts toward neither bel nor pl
+                w *= scale
+                outer[bits & low] += w
+                if bits <= low:
+                    inner[bits] += w
     _zeta(inner, k)
     _zeta(outer, k)
     gap = outer[low]
     mask = _first_violator(inner, outer, gap)
     if mask is None:
         diff = [0] * (1 << n)
-        for bits, w in signed:
-            diff[bits] += w
+        for nums, scale in signed:
+            for bits, w in nums.items():
+                if bits:
+                    diff[bits] += w * scale
         _zeta(diff, n)
         if min(diff) >= max(gap, 0):
             return True, None

@@ -23,12 +23,14 @@ on a normal result, which proves that no flow exists; (3)
 :func:`flow_entails`, whose one-row Hall bound refutes before any max-flow.
 
 A survey makes the unnormalized product at most once per pair and reads
-from it every result that needs no other routing: the unnormalized result
-is the product itself, Dempster's drops its mass on the empty set and
-renormalizes the rest (Smets 1990), Yager's moves that mass to X (Yager
-1987), and at K = 0 every cell-routing rule gives the product.  Only
-Dubois-Prade and the priority rules at K > 0, which route each conflicting
-cell apart, and discount, which mixes instead, make a pass of their own.
+every cell-routing result off it.  At K = 0 each of them is the product.
+At K > 0 each is the product's non-empty part plus every conflicting cell
+m1(A) * m2(B), listed once, routed where the rule sends it: to X for
+Yager, to A | B for Dubois-Prade (Dubois and Prade 1988), to A or to B for
+the priority rules and to the empty set for the unnormalized rule.
+Dempster's drops those cells and renormalizes the rest (Smets 1990).
+Discount, which mixes instead, makes a pass of its own and reuses the
+product's K.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combine import (_CONFLICT_TARGET, UNNORMALIZED, CombinationRule,
-                      _combine_with_conflict)
+                      _combine_with_conflict, _conflict_cells, combine)
 from .core import (
     ONE,
     BeliefStructure,
@@ -118,21 +120,32 @@ def _verdicts(m_star: BeliefStructure, m_next: BeliefStructure,
                               combined, interval_skipped=skipped)
 
 
-def _from_product(m1: BeliefStructure, m2: BeliefStructure):
-    """The pair's K and, by rule kind, each cell-routing result read off
-    the one unnormalized product (None for Dempster at K = 1)."""
+def _from_product(m1: BeliefStructure, m2: BeliefStructure,
+                  kinds: set[str]):
+    """The pair's K and, by kind, the result of each cell-routing kind in
+    ``kinds``, read off the one unnormalized product (None for Dempster at
+    K = 1)."""
     product, conflict = _combine_with_conflict(m1, m2, UNNORMALIZED)
     if not conflict:
-        return conflict, dict.fromkeys(_CONFLICT_TARGET, product)
-    frame, nums, den = product.frame, product._nums, product._den
-    kept = {bits: w for bits, w in nums.items() if bits}
-    full = frame.full.bits
-    moved = {**kept, full: kept.get(full, 0) + nums[0]}
-    return conflict, {
-        "unnormalized": product,
-        "dempster": BeliefStructure._from_form(frame, kept, den - nums[0])
-        if kept else None,
-        "yager": BeliefStructure._from_form(frame, moved, den)}
+        return conflict, dict.fromkeys(kinds, product)
+    frame, den = product.frame, m1._den * m2._den
+    full, scale = frame.full.bits, den // product._den
+    kept = {bits: w * scale for bits, w in product._nums.items() if bits}
+    cells = list(_conflict_cells(m1, m2))
+    derived = {}
+    for kind in kinds:
+        route = _CONFLICT_TARGET[kind]
+        if route is None:  # Dempster: drop the cells, renormalize the rest
+            derived[kind] = BeliefStructure._from_form(
+                frame, kept, sum(kept.values())) if kept else None
+            continue
+        out = dict(kept)
+        for a, b, w in cells:
+            target = route(a, b, full)
+            out[target] = out.get(target, 0) + w
+        derived[kind] = BeliefStructure._from_form(
+            frame, out, den, subnormal=kind == "unnormalized")
+    return conflict, derived
 
 
 def _infeasible(rule: CombinationRule) -> MonotonicityReport:
@@ -145,23 +158,21 @@ def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,
     """One report per rule over the same pair, in the given rule order.
 
     A rule that cannot run (Dempster at K = 1) contributes a report marked
-    infeasible instead of aborting the survey; its conflict K is 1.  The
-    results that the unnormalized product gives (see the module docstring)
-    come from one pass over it.
+    infeasible instead of aborting the survey; its conflict K is 1.  Every
+    cell-routing result comes from the one unnormalized product (see the
+    module docstring), and discount, which mixes instead, reuses its K.  A
+    survey of discount alone is a :func:`monotonic_step` per rule.
     """
-    reports, derived = [], {}
+    kinds = {rule.kind for rule in rules} - {"discount"}
+    if not kinds:
+        return [monotonic_step(m1, m2, rule) for rule in rules]
+    conflict, derived = _from_product(m1, m2, kinds)
+    reports = []
     for rule in rules:
-        if not derived and rule.kind != "discount":
-            conflict, derived = _from_product(m1, m2)
-        if rule.kind in derived:
-            combined = derived[rule.kind]
-            reports.append(_infeasible(rule) if combined is None
-                           else _verdicts(m1, m2, rule, combined, conflict))
-            continue
-        try:
-            reports.append(monotonic_step(m1, m2, rule))
-        except TotalConflict:
-            reports.append(_infeasible(rule))
+        combined = derived[rule.kind] if rule.kind in derived \
+            else combine(m1, m2, rule)
+        reports.append(_infeasible(rule) if combined is None
+                       else _verdicts(m1, m2, rule, combined, conflict))
     return reports
 
 

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from evicalc import (
     validate_witness,
     weaken_to,
 )
-from evicalc import entailment
+from evicalc import entailment, parse_rule
 from evicalc.errors import (
     EmptyTarget,
     FrameMismatch,
@@ -35,10 +37,13 @@ from evicalc.errors import (
     TotalConflict,
 )
 
+from evicalc.io import load_structure
+
 from oracles import (
     coarsen,
     entailing_pair,
     naive_bel,
+    oracle_combine,
     oracle_flow_entails,
     oracle_flow_witness,
     oracle_interval_contained,
@@ -723,3 +728,84 @@ class TestHedge:
             hedge(m, "0." + "9" * 4300)
         assert str(err.value) == ("cannot raise strength from 1/2 to "
                                   "<4300 digits>/<4301 digits>")
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+# Each entails_* and hedge_* golden, as scripts/golden_tables.sh makes it:
+# the mode and the specific and general inputs.  An input is a data file,
+# or (second desk file, rule) for the combination of desk_a.bs with it,
+# the structure the script saves with -o.
+GOLDEN_ENTAILS = {
+    "entails_noconflict_partition": (
+        "partition", ("desk_b_overlap.bs", "dempster"), "desk_a.bs"),
+    "entails_noconflict_flow_second": (
+        "flow", ("desk_b_overlap.bs", "dempster"), "desk_b_overlap.bs"),
+    "entails_conflict_interval": (
+        "interval", ("desk_b_disjoint.bs", "dempster"), "desk_a.bs"),
+    "entails_unnormalized_flow": (
+        "flow", ("desk_b_disjoint.bs", "unnormalized"), "desk_a.bs"),
+    "hedge_flow": ("flow", "typical_b_99.bs", "typical_b_90.bs"),
+    "hedge_partition": ("partition", "typical_b_99.bs", "typical_b_90.bs"),
+}
+WITNESS_LINE = re.compile(r"  \{(.*)\} -> \{(.*)\} : (\d+(?:/\d+)?)")
+
+
+def golden_input(source):
+    """A golden command's input, rebuilt from the oracle where the script
+    feeds it a combination it saved."""
+    if isinstance(source, str):
+        return load_structure(DATA / source)
+    first = load_structure(DATA / "desk_a.bs")
+    second, rule = source
+    frame = first.frame
+    return BeliefStructure(frame, [
+        (frame.from_bits(bits), w) for bits, w in oracle_combine(
+            first, load_structure(DATA / second), parse_rule(rule)).items()
+        if w], subnormal=True)
+
+
+class TestGoldenAudit:
+    """The entailment and hedge goldens re-derived from the oracles, not
+    from the program: each verdict from oracle_flow_entails,
+    oracle_partition or oracle_interval_contained, and each printed
+    witness re-checked triple by triple."""
+
+    def test_every_golden_is_audited(self):
+        assert sorted(GOLDEN_ENTAILS) == sorted(
+            p.stem for pattern in ("entails_*.txt", "hedge_*.txt")
+            for p in GOLDEN.glob(pattern))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ENTAILS))
+    def test_golden(self, name):
+        mode, specific, general = GOLDEN_ENTAILS[name]
+        m1, m2 = golden_input(specific), golden_input(general)
+        frame = m1.frame
+        lines = (GOLDEN / f"{name}.txt").read_text("utf-8").splitlines()
+        assert lines[0] == f"mode: {mode}"
+        if mode == "interval":
+            contained, violator = oracle_interval_contained(m1, m2)
+            expected = [f"contained: {str(contained).lower()}"]
+            if violator is not None:
+                expected.append(f"violating set: {violator.label()}")
+            assert lines[1:] == expected
+            return
+        verdict = (oracle_flow_entails(m1, m2) if mode == "flow"
+                   else oracle_partition(m1, m2) is not None)
+        assert lines[1] == f"entails: {str(verdict).lower()}"
+        assert lines[2:3] == (["witness:"] if verdict else [])
+        rows, cols, triples = {}, {}, 0
+        for line in lines[3:]:
+            a_atoms, b_atoms, mass = WITNESS_LINE.fullmatch(line).groups()
+            a, b = (frame.subset(atoms.split(", ") if atoms else [])
+                    for atoms in (a_atoms, b_atoms))
+            w = F(mass)
+            assert w > 0 and a.issubset(b)
+            rows[a.bits] = rows.get(a.bits, 0) + w
+            cols[b.bits] = cols.get(b.bits, 0) + w
+            triples += 1
+        if verdict:
+            assert rows == {f.bits: w for f, w in m1.items()}
+            assert cols == {f.bits: w for f, w in m2.items()}
+            # a grouping sends each specific focal element whole
+            assert mode == "flow" or triples == len(rows)

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,14 @@ from evicalc.errors import (
     VariableMismatch,
 )
 
-from oracles import oracle_fold, random_frame, structure_bits
+from oracles import (
+    assert_decimal,
+    naive_bel,
+    naive_pl,
+    oracle_fold,
+    random_frame,
+    structure_bits,
+)
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -708,3 +716,88 @@ class TestInferCache:
             for other in (pickle.loads(pickle.dumps(kb)), copy.deepcopy(kb)):
                 assert other == kb and hash(other) == hash(kb)
                 assert infer(other) == expected
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# Each kb_* golden, as scripts/golden_tables.sh makes it: the knowledge
+# base, and the --set of a kb-query or the --weaken-to of a kb-infer.
+GOLDEN_KB = {
+    "kb_absolute_overlap": ("kb_absolute_overlap.kb", {}),
+    "kb_absolute_disjoint": ("kb_absolute_disjoint.kb", {}),
+    "kb_strong_weak_infer": ("kb_strong_weak.kb", {}),
+    "kb_strong_weak_query_first": ("kb_strong_weak.kb", {"set": "a,b"}),
+    "kb_strong_weak_query_second": ("kb_strong_weak.kb", {"set": "c,d"}),
+    "kb_strong_weak_query_union": ("kb_strong_weak.kb", {"set": "a,b,c,d"}),
+    "kb_equal_95_infer": ("kb_equal_95.kb", {}),
+    "kb_equal_half_infer": ("kb_equal_half.kb", {}),
+    "kb_equal_half_query": ("kb_equal_half.kb", {"set": "a,b"}),
+    "kb_equal_half_query_union": ("kb_equal_half.kb", {"set": "a,b,c,d"}),
+    "kb_overlap_weaken": ("kb_overlap_strong.kb", {"weaken": "b"}),
+}
+MASS_LINE = re.compile(r"m\(\{(.*)\}\) = (\d+(?:/\d+)?) ~ (\d+\.\d{6})")
+
+
+def golden_fold(kb):
+    """oracle_fold, under Dempster, of each statement built by the
+    constructor: {B: 1} for "V is B", {B: s, X: 1 - s} for "typically V
+    is B" at strength s."""
+    frame = kb.frame
+    structures = [BeliefStructure(frame, [(stmt.set, 1)])
+                  if isinstance(stmt, Absolute) else
+                  BeliefStructure(frame, [(stmt.set, stmt.strength),
+                                          (frame.full, 1 - stmt.strength)])
+                  for stmt in kb.statements]
+    status, masses = oracle_fold(structures, DEMPSTER)
+    assert status == "ok"
+    return BeliefStructure(frame, [(frame.from_bits(bits), w)
+                                   for bits, w in masses.items()])
+
+
+class TestGoldenAudit:
+    """The kb-infer and kb-query goldens re-derived from the oracles, not
+    from the program: masses from oracle_fold (and, for --weaken-to, the
+    weakening of it), bel, pl and range from naive_bel and naive_pl, each
+    exact value compared with == and each decimal to 6 places."""
+
+    def test_every_golden_is_audited(self):
+        assert sorted(GOLDEN_KB) == sorted(
+            p.stem for p in GOLDEN.glob("kb_*.txt"))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_KB))
+    def test_golden(self, name):
+        source, options = GOLDEN_KB[name]
+        kb = parse_kb(load(source))
+        frame, fold = kb.frame, golden_fold(kb)
+        lines = (GOLDEN / f"{name}.txt").read_text("utf-8").splitlines()
+        head = [line.split(": ", 1) for line in lines]
+        assert head[:2] == [["variable", kb.variable], ["rule", "dempster"]]
+        if "set" in options:
+            target = frame.subset(options["set"].split(","))
+            assert head[2] == ["set", target.label()]
+            bel, pl = naive_bel(fold, target.bits), naive_pl(fold, target.bits)
+            for line, (label, value) in zip(lines[3:], [
+                    ("bel", bel), ("pl", pl), ("range", pl - bel)],
+                    strict=True):
+                exact, decimal = line.removeprefix(f"{label} = ").split(" ~ ")
+                assert F(exact) == value
+                assert_decimal(decimal, value)
+            return
+        if "weaken" in options:
+            target = frame.subset(options["weaken"].split(","))
+            assert head.pop(2) == ["weaken to", target.label()]
+            bel = naive_bel(fold, target.bits)
+            expected = {bits: w for bits, w in ((target.bits, bel),
+                                                 (frame.full.bits, 1 - bel))
+                        if w}
+        else:
+            expected = structure_bits(fold)
+        assert head[2:5] == [["frame", ", ".join(frame.atoms)],
+                             ["subnormal", "false"],
+                             ["focal elements", str(len(expected))]]
+        printed = {}
+        for line in lines[5 + ("weaken" in options):]:
+            atoms, mass, decimal = MASS_LINE.fullmatch(line).groups()
+            bits = frame.subset(atoms.split(", ") if atoms else []).bits
+            printed[bits] = F(mass)
+            assert_decimal(decimal, printed[bits])
+        assert printed == expected

@@ -191,9 +191,24 @@ class TestPairwiseSurvey:
         assert [r.rule for r in pairwise_survey(m1, m2, rules)] == rules
 
 
+def step_reports(m1, m2, rules):
+    """The per-rule monotonic_step reports, with the survey's infeasible
+    report where a step meets total conflict."""
+    expected = []
+    for rule in rules:
+        try:
+            expected.append(monotonic_step(m1, m2, rule))
+        except TotalConflict:
+            expected.append(MonotonicityReport(
+                rule, F(1), False, False, False, False, None, None, None,
+                infeasible=True))
+    return expected
+
+
 class TestSurveyFromOneProduct:
-    """A survey reads Dempster, Yager and every K = 0 result off one
-    unnormalized product; its reports must equal the per-rule steps'."""
+    """A survey reads every cell-routing result off one unnormalized
+    product, and discount reuses its K; its reports must equal the per-rule
+    steps'."""
 
     RULES = TestStepOracle.RULES
     KINDS = ["conflict-free", "conflicting", "total-conflict"]
@@ -217,21 +232,50 @@ class TestSurveyFromOneProduct:
            st.lists(st.sampled_from(RULES), max_size=12))
     def test_survey_equals_the_steps(self, rng, kind, rules):
         m1, m2 = self.pair(rng, kind)
-        expected = []
-        for rule in rules:
-            try:
-                expected.append(monotonic_step(m1, m2, rule))
-            except TotalConflict:
-                expected.append(MonotonicityReport(
-                    rule, F(1), False, False, False, False, None, None, None,
-                    infeasible=True))
-        assert pairwise_survey(m1, m2, rules) == expected
+        assert pairwise_survey(m1, m2, rules) == step_reports(m1, m2, rules)
 
-    @pytest.mark.parametrize("disjoint, passes", [
-        (False, [UNNORMALIZED, discount(F(1, 2))]),
-        (True, [UNNORMALIZED, DUBOIS_PRADE, PRIORITY_FIRST, PRIORITY_SECOND,
-                discount(F(1, 2))])], ids=["K=0", "K>0"])
-    def test_product_passes(self, monkeypatch, disjoint, passes):
+    @staticmethod
+    def sized_pair(rng, kind):
+        """Two structures of 12 focal elements each on 10 atoms, the size
+        of the benchmark's survey pairs: conflict-free (every focal element
+        holds one pivot atom), conflicting, or at K = 1 (each side inside
+        its own half of a split of the atoms)."""
+        frame = Frame("abcdefghij")
+        full = frame.full.bits
+        if kind == "conflict-free":
+            pivot = 1 << rng.randrange(10)
+            pools = [[b for b in range(1, full + 1) if b & pivot]] * 2
+        elif kind == "total-conflict":
+            left = sum(1 << i for i in rng.sample(range(10), 5))
+            pools = [[b for b in range(1, full + 1) if not b & ~part]
+                     for part in (left, full ^ left)]
+        else:
+            pools = [range(1, full + 1)] * 2
+        pair = []
+        for pool in pools:
+            weights = {bits: rng.randint(1, 9)
+                       for bits in rng.sample(pool, 12)}
+            total = sum(weights.values())
+            pair.append(BeliefStructure(frame, [
+                (frame.from_bits(bits), F(w, total))
+                for bits, w in weights.items()]))
+        return pair
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bench_sized_pairs(self, kind):
+        rng = random.Random(f"survey {kind}")
+        rules = [*CELL_ROUTING_RULES, discount(F(1, 2))]
+        for _ in range(8):
+            m1, m2 = self.sized_pair(rng, kind)
+            conflict = oracle_conflict(m1, m2)
+            assert {"conflict-free": conflict == 0, "total-conflict":
+                    conflict == 1}.get(kind, 0 < conflict < 1)
+            for order in (rules, rules[::-1]):
+                assert pairwise_survey(m1, m2, order) == \
+                    step_reports(m1, m2, order)
+
+    @pytest.mark.parametrize("disjoint", [False, True], ids=["K=0", "K>0"])
+    def test_product_passes(self, monkeypatch, disjoint):
         fold, folded = combine_module._fold, []
 
         def counted(frame, forms, rule):
@@ -241,7 +285,7 @@ class TestSurveyFromOneProduct:
         monkeypatch.setattr(combine_module, "_fold", counted)
         m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint)
         pairwise_survey(m1, m2, [*CELL_ROUTING_RULES, discount(F(1, 2))])
-        assert folded == passes
+        assert folded == [UNNORMALIZED, discount(F(1, 2))]
 
 
 class TestGoldenAudit:
