@@ -349,15 +349,31 @@ def _frame_text(frame: Frame) -> str:
     return text
 
 
+_ZETA_PAIRS: dict[int, list[tuple[int, int]]] = {}
+"""Per n <= 8, every (mask, mask without bit i) pair with bit i set, bit
+by bit: :func:`_zeta`'s additions, listed on first use."""
+
+
 def _zeta(table: list[int], n: int) -> None:
     """Subset-sum (zeta) transform over n-bit masks, in place: afterwards
     ``table[S]`` is the sum of the input over all subsets of S.
 
     Bit by bit, every mask with the bit set adds in its partner without it.
-    The masks come in whole list slices, added with ``operator.add``: runs
-    of ``2**i`` consecutive masks for the high bits, strided slices for the
-    low ones, whichever needs fewer slices.
+    Up to 8 bits that is one loop over the listed pairs (:data:`_ZETA_PAIRS`,
+    n * 2**(n - 1) of them).  Past that the masks come in whole list slices,
+    added with ``operator.add``: runs of ``2**i`` consecutive masks for the
+    high bits, strided slices for the low ones, whichever needs fewer
+    slices.
     """
+    if n <= 8:
+        pairs = _ZETA_PAIRS.get(n)
+        if pairs is None:
+            pairs = _ZETA_PAIRS[n] = [
+                (mask, mask ^ 1 << i) for i in range(n)
+                for mask in range(1 << n) if mask >> i & 1]
+        for mask, partner in pairs:
+            table[mask] += table[partner]
+        return
     size = 1 << n
     for i in range(n):
         half = 1 << i

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .core import (
     ZERO,
@@ -259,13 +260,25 @@ def interval_contained(
     bel1) or d(X - S) < d(X) (pl1 above pl2).  Returns (True, None) on
     success, else (False, first violating subset in bitmask order).
 
-    The masks S <= low = 2**k - 1, k = n // 2, come first, on two tables of
-    2**k entries: ``inner`` holds the differences on the focal elements
-    inside low, and ``outer`` every non-empty difference at its bits & low.
-    After a k-bit transform of each, inner[S] is d(S), outer[low ^ S] is
-    d(X - S) (a focal element misses S just when its low bits do) and
-    outer[low] is d(X).  A violator there is the first one.  Otherwise one
-    transform of all 2**n masks decides the rest.
+    The masks are decided in prefixes S < 2**j, one atom more at a time,
+    so a check pays only for the levels up to its first violator.  Level j
+    holds two tables of 2**j entries, with low = 2**j - 1: ``inner[S]`` is
+    d(S), the bottom block of the full table, and ``outer[L]`` is d(L |
+    (X - low)), its top block, so outer[low ^ S] is d(X - S) and
+    outer[low] is d(X).  Level k = n // 2 comes from the focal elements:
+    ``inner`` transforms the differences on those inside low, ``outer``
+    every difference at its bits & low (a focal element misses S just
+    when its low bits do).
+
+    Past level k, the step to j + 1 takes its new masks 2**j + L from the
+    dense difference: inner gains T(diff[2**j:2**(j + 1)])[L] + inner[L],
+    and outer gains T(F[:2**j]) in front, with T the j-bit transform and F
+    the difference folded onto its low j + 1 bits (outer itself is the
+    transform of the fold onto j bits, which is F's two halves added).
+    The folds are made once, from the top down, and each is dropped once
+    used.  Only the new masks are tested.  At level n - 1 the two tables
+    are the halves of the full table, so the top half is tested on them
+    with no transform.
     """
     _check_frame(m1.frame, m2, BeliefStructure)
     n = m1.frame._table_atoms("exhaustive interval check")
@@ -285,23 +298,42 @@ def interval_contained(
     _zeta(outer, k)
     gap = outer[low]
     mask = _first_violator(inner, outer, gap)
+    if mask is not None:
+        return False, m1.frame.from_bits(mask)
+    diff = [0] * (1 << n)
+    for nums, scale in signed:
+        for bits, w in nums.items():
+            if bits:
+                diff[bits] += w * scale
+    folds, fold = [], diff
+    for j in range(n - 1, k, -1):  # onto j bits: the two halves added
+        fold = list(map(add, fold[:1 << j], fold[1 << j:]))
+        folds.append(fold)
+    for j in range(k, n - 1):
+        half = 1 << j
+        new = diff[half:half << 1]
+        front = folds.pop()[:half]
+        _zeta(new, j)
+        _zeta(front, j)
+        new[:] = map(add, new, inner)
+        mask = _first_violator(new, front, gap)
+        if mask is not None:
+            return False, m1.frame.from_bits(half + mask)
+        inner += new
+        outer[:0] = front
+    mask = _first_violator(outer, inner, gap)
     if mask is None:
-        diff = [0] * (1 << n)
-        for nums, scale in signed:
-            for bits, w in nums.items():
-                if bits:
-                    diff[bits] += w * scale
-        _zeta(diff, n)
-        if min(diff) >= max(gap, 0):
-            return True, None
-        mask = _first_violator(diff, diff, gap)
-    return False, m1.frame.from_bits(mask)
+        return True, None
+    return False, m1.frame.from_bits(len(inner) + mask)
 
 
 def _first_violator(below: list[int], above: list[int],
                     gap: int) -> int | None:
     """The first mask S with below[S] < 0 or above[last ^ S] < gap, if
-    any; above[last ^ S] is above[last - S], the reversed list at S."""
+    any; above[last ^ S] is above[last - S], the reversed list at S.  The
+    two minima come first: most tables hold no violator."""
+    if min(below) >= 0 and min(above) >= gap:
+        return None
     return next((mask for mask, (inside, rest)
                  in enumerate(zip(below, reversed(above)))
                  if inside < 0 or rest < gap), None)

@@ -66,6 +66,20 @@ MUTANTS = [
         "new": "if inside < 0), None)",
         "tests": ["tests/test_entailment.py"],
     },
+    {
+        "name": "interval growth appends the new block without inner",
+        "path": "evicalc/entailment.py",
+        "old": "        new[:] = map(add, new, inner)\n",
+        "new": "",
+        "tests": ["tests/test_entailment.py::TestIntervalLevels"],
+    },
+    {
+        "name": "interval growth takes outer's block from the fold's top half",
+        "path": "evicalc/entailment.py",
+        "old": "front = folds.pop()[:half]",
+        "new": "front = folds.pop()[half:]",
+        "tests": ["tests/test_entailment.py::TestIntervalLevels"],
+    },
     # combine
     {
         "name": "Dempster conflict routed to X",
@@ -131,6 +145,22 @@ MUTANTS = [
         "tests": ["tests/test_cli.py::TestImports"],
     },
     # core._zeta
+    {
+        "name": "zeta pair partner on the wrong bit",
+        "path": "evicalc/core.py",
+        "old": "(mask, mask ^ 1 << i) for i in range(n)",
+        "new": "(mask, mask ^ 1 << n - 1 - i) for i in range(n)",
+        "tests": ["tests/test_core.py::TestZeta"],
+    },
+    {
+        "name": "zeta pair-list cutoff",
+        "path": "evicalc/core.py",
+        "old": "if n <= 8:",
+        "new": "if n <= 7:",
+        "equivalent": "both shapes add the same partners bit by bit; the "
+                      "cutoff only picks the faster one and bounds the "
+                      "listed pairs' memory",
+    },
     {
         "name": "zeta slice-shape threshold",
         "path": "evicalc/core.py",

@@ -34,6 +34,13 @@ def naive_pl(m: BeliefStructure, bits: int) -> Fraction:
     return sum((w for f, w in m.items() if f.bits & bits), Fraction(0))
 
 
+def oracle_zeta(values: list[int]) -> list[int]:
+    """The subset sums of a table over n-bit masks, each summed directly
+    over the masks inside it."""
+    return [sum(v for mask, v in enumerate(values) if mask & bits == mask)
+            for bits in range(len(values))]
+
+
 def oracle_interval_contained(m1: BeliefStructure, m2: BeliefStructure):
     """Interval containment [bel1, pl1] <= [bel2, pl2] by direct enumeration
     of all 2**n subsets, as (verdict, first violating subset or None)."""

@@ -755,6 +755,25 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
+    def test_commands_leave_the_zeta_pairs_unbuilt(self):
+        # core._zeta lists its additions per width on first use, so a
+        # command that runs no transform builds none of them; a passing
+        # interval check on 5 atoms builds the widths it transforms, 2
+        # (its first level and the step to 3 atoms) and 3
+        done = self.python(
+            "import sys\n"
+            "from evicalc.cli import main\n"
+            "from evicalc.core import _ZETA_PAIRS\n"
+            "a, b = sys.argv[1:]\n"
+            "codes = [main(['validate', a]),\n"
+            "         main(['entails', a, b, '--mode', 'flow'])]\n"
+            "seen = [sorted(_ZETA_PAIRS)]\n"
+            "codes.append(main(['entails', a, a, '--mode', 'interval']))\n"
+            "print(codes, seen, sorted(_ZETA_PAIRS))\n",
+            DATA / "desk_a.bs", DATA / "desk_b_overlap.bs", flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0] [[]] [2, 3]"
+
     def test_lazy_modules_load_on_first_use(self):
         # each lazy module loads when one of its names is first read, and
         # none rebinds a public name of the package: combine stays the

@@ -12,7 +12,7 @@ from evicalc import Absolute, BeliefStructure, CombinationRule, \
     EntailmentWitness, FocalSet, Frame, KnowledgeBase, ProbabilityInterval, \
     Typical, combine, compile_statement, decimal6, flow_entails, hedge, \
     mass_str, to_mass, weaken_to
-from evicalc.core import _num_text, _typical_form
+from evicalc.core import _ZETA_PAIRS, _num_text, _typical_form, _zeta
 from evicalc.monotonicity import SweepRow, canonical_pair
 from evicalc.errors import (
     EmptyFocalInNormal,
@@ -27,7 +27,8 @@ from evicalc.errors import (
 )
 
 from conftest import ATOMS, structures
-from oracles import naive_bel, naive_pl, random_frame, random_structure
+from oracles import (naive_bel, naive_pl, oracle_zeta, random_frame,
+                     random_structure)
 
 F = Fraction
 
@@ -716,6 +717,31 @@ class TestBelTable:
         with pytest.raises(FrameTooLarge, match="subset enumeration needs at "
                            "most 20 atoms, got 21"):
             next(frame.all_subsets())
+
+
+class TestZeta:
+    """Both shapes of the in-place transform: the listed pairs up to 8
+    bits, whole slices past that."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=20, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_equals_direct_subset_sums(self, n, rng):
+        # signed numbers of up to 31 digits, as scaled mass differences
+        values = [rng.randint(-10**30, 10**30) for _ in range(1 << n)]
+        table = list(values)
+        _zeta(table, n)
+        assert table == oracle_zeta(values)
+
+    def test_pairs_listed_per_width(self):
+        _zeta([0] * 8, 3)
+        pairs = _ZETA_PAIRS[3]
+        assert len(pairs) == 3 * 4
+        assert pairs[:4] == [(1, 0), (3, 2), (5, 4), (7, 6)]
+        assert all(mask ^ partner in (1, 2, 4) and mask > partner
+                   for mask, partner in pairs)
+        _zeta([0] * 1024, 10)
+        assert 10 not in _ZETA_PAIRS
 
 
 class TestInvariants:

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -520,8 +521,9 @@ class TestIntervalContained:
 
 def checked_interval(m1, m2):
     """interval_contained(m1, m2), checked against the oracle and against
-    the tables it transformed: two of 2**(n // 2) entries, then all 2**n
-    masks unless the first violator lies within the first table."""
+    the tables it transformed: two of 2**(n // 2) entries, then two of 2**j
+    for each step to a level j + 1 < n, up to the level that holds the
+    first violator (its top atom's level, or n - 1 when it has none)."""
     lengths, real = [], entailment._zeta
 
     def spy(table, n):
@@ -532,9 +534,10 @@ def checked_interval(m1, m2):
         result = interval_contained(m1, m2)
     assert result == oracle_interval_contained(m1, m2)
     n = len(m1.frame)
-    low = (1 << n // 2) - 1
-    prefix = result[1] is not None and result[1].bits <= low
-    assert lengths == [low + 1] * 2 + ([] if prefix else [1 << n])
+    top = n - 1 if result[1] is None else result[1].bits.bit_length() - 1
+    steps = range(n // 2, min(top, n - 2) + 1)
+    assert lengths == [1 << n // 2] * 2 + [
+        size for j in steps for size in (1 << j,) * 2]
     return result
 
 
@@ -587,7 +590,8 @@ class TestIntervalOracle:
 
 class TestIntervalLowHalf:
     """The masks up to low = 2**(n // 2) - 1 are decided on two small
-    tables; only a pair with no violator there runs the dense transform."""
+    tables built from the focal elements; only a pair with no violator
+    there builds the dense difference and grows the tables from it."""
 
     @pytest.mark.parametrize("atoms", ["abcd", "abcde"])
     def test_violator_inside_the_prefix(self, atoms):
@@ -642,6 +646,108 @@ class TestIntervalLowHalf:
                                      (high, 1 - tiny)])
         m2 = BeliefStructure(frame, [(high, 1)])
         assert checked_interval(m1, m2) == (False, frame.from_bits(1))
+
+
+class TestIntervalLevels:
+    """Seeded 6- to 10-atom pairs whose first violators lie at every level
+    the check grows through, and pairs with none, on normal pairs and with
+    a subnormal structure on either side."""
+
+    @staticmethod
+    def level_pair(rng, frame, level):
+        # every focal element holds the atoms below `level`, so no mask
+        # below 2**level tells the sides apart; the general side is a
+        # coarsening, then maybe one part of a focal element on either
+        # side moves to a set one atom smaller (general) or larger
+        n = len(frame)
+        low = (1 << level) - 1
+        masks = sorted({low | rng.getrandbits(n) & ~low or low
+                        for _ in range(rng.randint(1, 5))})
+        weights = [rng.randint(1, 9) for _ in masks]
+        m1 = BeliefStructure(frame, [(frame.from_bits(b), F(w, sum(weights)))
+                                     for b, w in zip(masks, weights)])
+        m2 = coarsen(rng, m1)
+        side = rng.randrange(3)
+        if side:
+            m = (m1, m2)[side - 1]
+            nums = {f.bits: w for f, w in m.items()}
+            bits = rng.choice(sorted(nums))
+            atom = 1 << rng.randrange(n)
+            other = bits | atom if side == 1 else bits & ~atom
+            if other and other != bits:
+                part = nums[bits] * F(rng.randint(1, 4), 4)
+                nums[bits] -= part
+                nums[other] = nums.get(other, 0) + part
+                m = BeliefStructure(frame, [(frame.from_bits(b), w)
+                                            for b, w in nums.items() if w])
+                m1, m2 = (m, m2) if side == 1 else (m1, m)
+        return m1, m2
+
+    @staticmethod
+    def lost(rng, m):
+        share = F(rng.randint(1, 3), 10)
+        return BeliefStructure(
+            m.frame, [(m.frame.empty, share)]
+            + [(f, w * (1 - share)) for f, w in m.items()], subnormal=True)
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_every_level(self, n):
+        rng = random.Random(300 + n)
+        frame = Frame("abcdefghij"[:n])
+        kept = {}  # (top atom or None, subnormal side) -> pair
+        wanted = {(top, 0) for top in [*range(1, n - 1), None]}
+        # a subnormal first side fails at X at the latest, and a
+        # subnormal second side already at mask 1
+        wanted |= {(n - 1, 1), (0, 2)}
+        for _ in range(3000):
+            if wanted <= kept.keys():
+                break
+            m1, m2 = self.level_pair(rng, frame, rng.randint(1, n - 1))
+            side = rng.randrange(4) % 3
+            if side == 1:
+                m1 = self.lost(rng, m1)
+            elif side == 2:
+                m2 = self.lost(rng, m2)
+            violator = interval_contained(m1, m2)[1]
+            top = None if violator is None else violator.bits.bit_length() - 1
+            kept.setdefault((top, side), (m1, m2))
+        # a normal pair's masks S and X - S violate together, and the
+        # smaller lacks the top atom: only a subnormal side reaches n - 1
+        assert wanted <= kept.keys()
+        assert {top for top, _ in kept} == {*range(n), None}
+        for m1, m2 in kept.values():
+            checked_interval(m1, m2)
+
+
+    def test_eighteen_atoms_without_a_violator(self):
+        # small focal elements, so that almost every d(S) is an integer
+        # of its own: the check ends holding the 2**18 masks' values in
+        # inner and outer, besides the dense difference and its folds,
+        # about 46 traced bytes a mask; a second copy of every value
+        # (an int and a list slot, 40 bytes) would pass 80
+        rng = random.Random(18)
+        frame = Frame([f"x{i}" for i in range(18)])
+        masks = sorted({sum(1 << a for a in rng.sample(range(18), size))
+                        for size in (1, 2, 3) * 4})
+        weights = [rng.randint(10**6, 10**7) for _ in masks]
+        total = 3 * sum(weights)
+        general = {}
+        for bits, w in zip(masks, weights):
+            wider = bits | 1 << rng.randrange(18)
+            for part, focal in ((w, bits), (2 * w, wider)):
+                general[focal] = general.get(focal, 0) + F(part, total)
+        m1 = BeliefStructure(frame, [(frame.from_bits(b), F(3 * w, total))
+                                     for b, w in zip(masks, weights)])
+        m2 = BeliefStructure(frame, [(frame.from_bits(b), w)
+                                     for b, w in general.items()])
+        tracemalloc.start()
+        try:
+            result = interval_contained(m1, m2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (True, None)
+        assert peak < 80 << 18
 
 
 class TestWeaken:
