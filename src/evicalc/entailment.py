@@ -270,15 +270,16 @@ def interval_contained(
     every difference at its bits & low (a focal element misses S just
     when its low bits do).
 
-    Past level k, the step to j + 1 takes its new masks 2**j + L from the
-    dense difference: inner gains T(diff[2**j:2**(j + 1)])[L] + inner[L],
-    and outer gains T(F[:2**j]) in front, with T the j-bit transform and F
-    the difference folded onto its low j + 1 bits (outer itself is the
-    transform of the fold onto j bits, which is F's two halves added).
-    The folds are made once, from the top down, and each is dropped once
-    used.  Only the new masks are tested.  At level n - 1 the two tables
-    are the halves of the full table, so the top half is tested on them
-    with no transform.
+    Past level k, the steps read ``delta``, one (bits, scaled numerator)
+    pair per non-empty focal element of either side, made once level k
+    finds no violator.  With T the j-bit transform, the step to j + 1
+    gives inner T(B)[L] + inner[L] for its new masks 2**j + L, B holding
+    at bits - 2**j the pairs whose top bit is j, and puts T(F) in front
+    of outer, F holding at its low j bits every pair with bit j clear
+    (the elements that can lie inside L | (X - 2**(j + 1) + 1)).  Only
+    the new masks are tested.  At level n - 1 the two tables are the
+    halves of the full table, so the top half is tested on them with no
+    transform.
     """
     _check_frame(m1.frame, m2, BeliefStructure)
     n = m1.frame._table_atoms("exhaustive interval check")
@@ -300,19 +301,16 @@ def interval_contained(
     mask = _first_violator(inner, outer, gap)
     if mask is not None:
         return False, m1.frame.from_bits(mask)
-    diff = [0] * (1 << n)
-    for nums, scale in signed:
-        for bits, w in nums.items():
-            if bits:
-                diff[bits] += w * scale
-    folds, fold = [], diff
-    for j in range(n - 1, k, -1):  # onto j bits: the two halves added
-        fold = list(map(add, fold[:1 << j], fold[1 << j:]))
-        folds.append(fold)
+    delta = [(bits, w * scale) for nums, scale in signed
+             for bits, w in nums.items() if bits]
     for j in range(k, n - 1):
         half = 1 << j
-        new = diff[half:half << 1]
-        front = folds.pop()[:half]
+        new, front = [0] * half, [0] * half
+        for bits, w in delta:
+            if not bits & half:
+                front[bits & half - 1] += w
+            elif bits < half << 1:
+                new[bits - half] += w
         _zeta(new, j)
         _zeta(front, j)
         new[:] = map(add, new, inner)

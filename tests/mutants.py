@@ -74,11 +74,30 @@ MUTANTS = [
         "tests": ["tests/test_entailment.py::TestIntervalLevels"],
     },
     {
-        "name": "interval growth takes outer's block from the fold's top half",
+        "name": "interval growth's front block takes only pairs below 2**j",
         "path": "evicalc/entailment.py",
-        "old": "front = folds.pop()[:half]",
-        "new": "front = folds.pop()[half:]",
-        "tests": ["tests/test_entailment.py::TestIntervalLevels"],
+        "old": "if not bits & half:",
+        "new": "if bits < half:",
+        "tests": ["tests/test_entailment.py::TestIntervalLevels::"
+                  "test_every_level[6]"],
+    },
+    {
+        "name": "interval growth's new block takes every pair with bit j",
+        "path": "evicalc/entailment.py",
+        "old": "            elif bits < half << 1:\n"
+               "                new[bits - half] += w",
+        "new": "            else:\n"
+               "                new[bits & half - 1] += w",
+        "tests": ["tests/test_entailment.py::TestIntervalLevels::"
+                  "test_every_level[6]"],
+    },
+    {
+        "name": "interval growth counts the empty set's mass",
+        "path": "evicalc/entailment.py",
+        "old": "for bits, w in nums.items() if bits]",
+        "new": "for bits, w in nums.items()]",
+        "tests": ["tests/test_entailment.py::TestIntervalLevels::"
+                  "test_every_level"],
     },
     # combine
     {
@@ -114,6 +133,17 @@ MUTANTS = [
         "tests": ["tests/test_kb.py"],
     },
     {
+        "name": "empty statement set read as one atom named ''",
+        "path": "evicalc/kb.py",
+        "old": "    if names == [\"\"]:\n"
+               "        raise ParseError(\"a statement set must name at"
+               " least one atom\",\n"
+               "                         line=line, col=col)\n",
+        "new": "",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_each_parse_error_names_its_line_and_column"],
+    },
+    {
         "name": "discount weight above 1 accepted",
         "path": "evicalc/combine.py",
         "old": "elif not 0 <= c <= 1:",
@@ -127,6 +157,32 @@ MUTANTS = [
         "old": 'return ("", csv, 0) if args["--out"] is not None',
         "new": 'return ("", csv, 0) if args["--out"]',
         "tests": ["tests/test_cli.py::TestCombine"],
+    },
+    {
+        "name": "a flag accepts a value after =",
+        "path": "evicalc/cli.py",
+        "old": "elif name not in options or eq and options[name] is False:",
+        "new": "elif name not in options:",
+        "tests": ["tests/test_cli.py::TestUsageErrors::"
+                  "test_dropped_and_refused_forms"],
+    },
+    {
+        "name": "-o no longer stands for --out",
+        "path": "evicalc/cli.py",
+        "old": "        name = \"--out\" if name == \"-o\" else name\n",
+        "new": "",
+        "tests": ["tests/test_cli.py::TestCombine::"
+                  "test_write_then_validate_round_trip"],
+    },
+    # io
+    {
+        "name": "mass entries read without the set and mass key check",
+        "path": "evicalc/io.py",
+        "old": "        if not isinstance(entry, dict) or \"set\" not in entry \\\n"
+               "                or \"mass\" not in entry:",
+        "new": "        if not isinstance(entry, dict):",
+        "tests": ["tests/test_io.py::TestStructureDocuments::"
+                  "test_malformed_documents"],
     },
     {
         "name": "json imported at the top of cli",

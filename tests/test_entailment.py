@@ -591,7 +591,8 @@ class TestIntervalOracle:
 class TestIntervalLowHalf:
     """The masks up to low = 2**(n // 2) - 1 are decided on two small
     tables built from the focal elements; only a pair with no violator
-    there builds the dense difference and grows the tables from it."""
+    there lists the difference's focal elements and grows the tables
+    from them."""
 
     @pytest.mark.parametrize("atoms", ["abcd", "abcde"])
     def test_violator_inside_the_prefix(self, atoms):
@@ -636,7 +637,7 @@ class TestIntervalLowHalf:
         assert checked_interval(vacuous, lost) == (False, frame.full)
 
     def test_twenty_atoms_with_a_tiny_mass(self):
-        # a 1,300-bit denominator: the dense table would hold 2**20 such
+        # a 1,300-bit denominator: a full table would hold 2**20 such
         # numbers; the violator, pl1({a}) above pl2({a}), is at mask 1
         frame = Frame([f"x{i}" for i in range(20)])
         tiny = F(1, 3**820)
@@ -720,11 +721,14 @@ class TestIntervalLevels:
 
 
     def test_eighteen_atoms_without_a_violator(self):
-        # small focal elements, so that almost every d(S) is an integer
-        # of its own: the check ends holding the 2**18 masks' values in
-        # inner and outer, besides the dense difference and its folds,
-        # about 46 traced bytes a mask; a second copy of every value
-        # (an int and a list slot, 40 bytes) would pass 80
+        # the check ends holding the 2**18 masks' values in inner and
+        # outer.  Small focal elements of large weights make almost every
+        # d(S) an integer of its own: about 38 traced bytes a mask, which
+        # a second copy of every value (an int and a list slot, 40 bytes)
+        # would take past 64.  A structure against itself makes every
+        # d(S) the shared 0: about 12 bytes a mask, the list slots and
+        # the last step's two blocks, which one more list of 2**18 slots
+        # (8 bytes a mask) would take past 16.
         rng = random.Random(18)
         frame = Frame([f"x{i}" for i in range(18)])
         masks = sorted({sum(1 << a for a in rng.sample(range(18), size))
@@ -740,14 +744,17 @@ class TestIntervalLevels:
                                      for b, w in zip(masks, weights)])
         m2 = BeliefStructure(frame, [(frame.from_bits(b), w)
                                      for b, w in general.items()])
-        tracemalloc.start()
-        try:
-            result = interval_contained(m1, m2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result == (True, None)
-        assert peak < 80 << 18
+        small = BeliefStructure(frame, [(frame.from_bits(1), F(1, 2)),
+                                        (frame.full, F(1, 2))])
+        for pair, bytes_a_mask in (((m1, m2), 64), ((small, small), 16)):
+            tracemalloc.start()
+            try:
+                result = interval_contained(*pair)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result == (True, None)
+            assert peak < bytes_a_mask << 18
 
 
 class TestWeaken:

@@ -110,6 +110,8 @@ class TestParse:
 
     @pytest.mark.parametrize("text, line, col, message", [
         ("frame: a, b\nV is {a b}\n", 2, 7, "bad atom name 'a b'"),
+        ("frame: a, b\nV is {}\n", 2, 7,
+         "a statement set must name at least one atom"),
         ("frame: a, b c\n", 1, 1,
          "frame atoms must be comma-separated names"),
         ("frame: a, a\n", 1, 1, "duplicate atom 'a'"),
@@ -123,8 +125,8 @@ class TestParse:
          "bad strength '1/0': zero denominator"),
         ("frame: a, b\nV is {a} always\n", 2, 9,
          "unexpected trailing text 'always'"),
-    ], ids=["atom-name", "frame-atoms", "duplicate-atom", "25-atoms",
-            "no-strength", "strength-token", "zero-denominator",
+    ], ids=["atom-name", "empty-set", "frame-atoms", "duplicate-atom",
+            "25-atoms", "no-strength", "strength-token", "zero-denominator",
             "trailing-text"])
     def test_each_parse_error_names_its_line_and_column(self, text, line,
                                                         col, message):
