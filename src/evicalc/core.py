@@ -566,13 +566,3 @@ def _typical_form(body: int, full: int, strength: Fraction):
     nums = {body: n, full: d - n} if body != full else {full: d}
     return {bits: w for bits, w in nums.items() if w}, d
 
-
-def _common_form(m1: BeliefStructure, m2: BeliefStructure):
-    """Both structures' (bitmask, numerator) lists, in bitmask order,
-    rescaled to one denominator, the lcm of theirs, and that denominator;
-    the two must share a frame."""
-    _check_frame(m1.frame, m2, BeliefStructure)
-    den = lcm(m1._den, m2._den)
-    s1, s2 = den // m1._den, den // m2._den
-    return ([(bits, w * s1) for bits, w in m1._nums.items()],
-            [(bits, w * s2) for bits, w in m2._nums.items()], den)

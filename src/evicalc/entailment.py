@@ -38,7 +38,6 @@ from .core import (
     FocalSet,
     MassLike,
     _check_frame,
-    _common_form,
     _num_text,
     _typical_form,
     _Value,
@@ -148,9 +147,13 @@ def partition_entails(m1: BeliefStructure,
 
 
 def _transport_problem(m1: BeliefStructure, m2: BeliefStructure):
-    """Both (bitmask, numerator) lists over one common denominator, that
-    denominator and, per specific focal, the general focals containing it."""
-    specific, general, scale = _common_form(m1, m2)
+    """Both (bitmask, numerator) lists, in bitmask order, over one common
+    denominator, the lcm of theirs, that denominator and, per specific
+    focal, the general focals containing it; the two must share a frame."""
+    _check_frame(m1.frame, m2, BeliefStructure)
+    scale = lcm(m1._den, m2._den)
+    specific, general = ([(bits, w * (scale // m._den))
+                          for bits, w in m._nums.items()] for m in (m1, m2))
     return specific, general, scale, [
         [j for j, (b, _) in enumerate(general) if a & b == a]
         for a, _ in specific]

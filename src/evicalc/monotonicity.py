@@ -22,15 +22,16 @@ normal result keeps that input's intervals too); (2) an interval violation
 on a normal result, which proves that no flow exists; (3)
 :func:`flow_entails`, whose one-row Hall bound refutes before any max-flow.
 
-A survey makes the unnormalized product at most once per pair and reads
-every cell-routing result off it.  At K = 0 each of them is the product.
-At K > 0 each is the product's non-empty part plus every conflicting cell
-m1(A) * m2(B), listed once, routed where the rule sends it: to X for
-Yager, to A | B for Dubois-Prade (Dubois and Prade 1988), to A or to B for
-the priority rules and to the empty set for the unnormalized rule.
-Dempster's drops those cells and renormalizes the rest (Smets 1990).
-Discount, which mixes instead, makes a pass of its own and reuses the
-product's K.
+A survey gets K and every rule's result from :func:`_results`.  A rule
+list with a cell-routing rule makes the unnormalized product once and
+reads K and every cell-routing result off it.  At K = 0 each of them is
+the product, and at K > 0 the unnormalized result still is.  Each other one
+is then the product's non-empty part plus every conflicting cell m1(A) *
+m2(B), listed once, routed where the rule sends it: to X for Yager, to
+A | B for Dubois-Prade (Dubois and Prade 1988) and to A or to B for the
+priority rules.  Dempster's drops those cells and renormalizes the rest
+(Smets 1990).  Discount, which mixes instead, makes a pass of its own; a
+list of discount rules alone builds no product and sums K cell by cell.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combine import (_CONFLICT_TARGET, UNNORMALIZED, CombinationRule,
-                      _combine_with_conflict, _conflict_cells, combine)
+                      _combine_with_conflict, _conflict_cells, combine,
+                      conflict_mass)
 from .core import (
     ONE,
+    ZERO,
     BeliefStructure,
     FocalSet,
     Frame,
@@ -120,32 +123,36 @@ def _verdicts(m_star: BeliefStructure, m_next: BeliefStructure,
                               combined, interval_skipped=skipped)
 
 
-def _from_product(m1: BeliefStructure, m2: BeliefStructure,
-                  kinds: set[str]):
-    """The pair's K and, by kind, the result of each cell-routing kind in
-    ``kinds``, read off the one unnormalized product (None for Dempster at
-    K = 1)."""
-    product, conflict = _combine_with_conflict(m1, m2, UNNORMALIZED)
-    if not conflict:
-        return conflict, dict.fromkeys(kinds, product)
-    frame, den = product.frame, m1._den * m2._den
-    full, scale = frame.full.bits, den // product._den
-    kept = {bits: w * scale for bits, w in product._nums.items() if bits}
-    cells = list(_conflict_cells(m1, m2))
-    derived = {}
-    for kind in kinds:
-        route = _CONFLICT_TARGET[kind]
-        if route is None:  # Dempster: drop the cells, renormalize the rest
-            derived[kind] = BeliefStructure._from_form(
-                frame, kept, sum(kept.values())) if kept else None
-            continue
-        out = dict(kept)
-        for a, b, w in cells:
-            target = route(a, b, full)
-            out[target] = out.get(target, 0) + w
-        derived[kind] = BeliefStructure._from_form(
-            frame, out, den, subnormal=kind == "unnormalized")
-    return conflict, derived
+def _results(m1: BeliefStructure, m2: BeliefStructure,
+             rules: list[CombinationRule]):
+    """The pair's K and each rule's result, in rule order (None for
+    Dempster at K = 1).  Every cell-routing result is read off the one
+    unnormalized product (see the module docstring); a list of discount
+    rules alone builds no product and sums K cell by cell."""
+    kinds = {rule.kind for rule in rules} - {"discount"}
+    if kinds:
+        product, conflict = _combine_with_conflict(m1, m2, UNNORMALIZED)
+    else:
+        product, conflict = None, conflict_mass(m1, m2) if rules else ZERO
+    derived = dict.fromkeys(kinds, product)
+    if kinds and conflict:
+        frame, den = product.frame, m1._den * m2._den
+        full, scale = frame.full.bits, den // product._den
+        kept = {bits: w * scale for bits, w in product._nums.items() if bits}
+        cells = list(_conflict_cells(m1, m2))
+        for kind in kinds - {"unnormalized"}:
+            route = _CONFLICT_TARGET[kind]
+            if route is None:  # Dempster: drop the cells, renormalize
+                derived[kind] = BeliefStructure._from_form(
+                    frame, kept, sum(kept.values())) if kept else None
+                continue
+            out = dict(kept)
+            for a, b, w in cells:
+                target = route(a, b, full)
+                out[target] = out.get(target, 0) + w
+            derived[kind] = BeliefStructure._from_form(frame, out, den)
+    return conflict, [derived[rule.kind] if rule.kind in derived
+                      else combine(m1, m2, rule) for rule in rules]
 
 
 def _infeasible(rule: CombinationRule) -> MonotonicityReport:
@@ -158,22 +165,14 @@ def pairwise_survey(m1: BeliefStructure, m2: BeliefStructure,
     """One report per rule over the same pair, in the given rule order.
 
     A rule that cannot run (Dempster at K = 1) contributes a report marked
-    infeasible instead of aborting the survey; its conflict K is 1.  Every
-    cell-routing result comes from the one unnormalized product (see the
-    module docstring), and discount, which mixes instead, reuses its K.  A
-    survey of discount alone is a :func:`monotonic_step` per rule.
+    infeasible instead of aborting the survey; its conflict K is 1.  K and
+    every rule's result come from :func:`_results` (see the module
+    docstring).
     """
-    kinds = {rule.kind for rule in rules} - {"discount"}
-    if not kinds:
-        return [monotonic_step(m1, m2, rule) for rule in rules]
-    conflict, derived = _from_product(m1, m2, kinds)
-    reports = []
-    for rule in rules:
-        combined = derived[rule.kind] if rule.kind in derived \
-            else combine(m1, m2, rule)
-        reports.append(_infeasible(rule) if combined is None
-                       else _verdicts(m1, m2, rule, combined, conflict))
-    return reports
+    conflict, results = _results(m1, m2, rules)
+    return [_infeasible(rule) if combined is None
+            else _verdicts(m1, m2, rule, combined, conflict)
+            for rule, combined in zip(rules, results)]
 
 
 _SWEEP_FRAME = Frame(["a", "b", "c", "d"])

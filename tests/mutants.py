@@ -10,7 +10,7 @@ only: the runner imports this file before any test tool.
 """
 
 MUTANTS = [
-    # monotonicity._from_product: the survey's results off the product
+    # monotonicity._results: the survey's results off the product
     {
         "name": "derived Dubois-Prade routed to the left set",
         "path": "evicalc/monotonicity.py",
@@ -99,6 +99,67 @@ MUTANTS = [
         "tests": ["tests/test_entailment.py::TestIntervalLevels::"
                   "test_every_level"],
     },
+    # entailment: the flow layer and the partition search
+    {
+        "name": "Hall bound refutes a row that fits exactly",
+        "path": "evicalc/entailment.py",
+        "old": "if any(w > sum(general[j][1] for j in adj[i])",
+        "new": "if any(w >= sum(general[j][1] for j in adj[i])",
+        "tests": ["tests/test_entailment.py::TestHallBound::"
+                  "test_verdict_witness_and_early_out"],
+    },
+    {
+        "name": "flow's first phase feeds each row's columns in reverse",
+        "path": "evicalc/entailment.py",
+        "old": "for col in (rows + j for j in adj[i]):",
+        "new": "for col in (rows + j for j in reversed(adj[i])):",
+        "tests": ["tests/test_entailment.py::TestFlowWitnessEquality::"
+                  "test_identical_triples"],
+    },
+    {
+        "name": "flow accepts a partial transport",
+        "path": "evicalc/entailment.py",
+        "old": "if sum(cap[sink].values()) != scale:",
+        "new": "if not sum(cap[sink].values()):",
+        "tests": ["tests/test_entailment.py::TestFlowOracle::"
+                  "test_verdict_and_witness"],
+    },
+    {
+        "name": "partition search skips exact fits",
+        "path": "evicalc/entailment.py",
+        "old": "residual[j] >= mass[k]",
+        "new": "residual[j] > mass[k]",
+        "tests": ["tests/test_entailment.py::TestPartition::"
+                  "test_no_conflict_combination_entails_the_input"],
+    },
+    {
+        "name": "partition search runs without the flow check first",
+        "path": "evicalc/entailment.py",
+        "old": "    if flow_entails(m1, m2) is None:\n        return None\n",
+        "new": "",
+        "tests": ["tests/test_entailment.py::TestPartitionSearch::"
+                  "test_flow_check_comes_before_the_search"],
+    },
+    {
+        "name": "flow's first phase skipped",
+        "path": "evicalc/entailment.py",
+        "old": "    for i in range(rows):\n",
+        "new": "    for i in range(0):\n",
+        "equivalent": "the first phase takes the paths the max-flow's own "
+                      "search would take, in the same order, so only the "
+                      "time changes, not the witness",
+    },
+    {
+        "name": "flow's breadth-first search not cut short at the sink",
+        "path": "evicalc/entailment.py",
+        "old": "                    if cap[v].get(sink):\n"
+               "                        prev[sink] = v\n"
+               "                        break\n",
+        "new": "",
+        "equivalent": "the queue pops nodes in the order it finds them, so "
+                      "the first column popped with room to the sink is the "
+                      "first one found; the search only runs longer",
+    },
     # combine
     {
         "name": "Dempster conflict routed to X",
@@ -150,6 +211,44 @@ MUTANTS = [
         "new": "elif not 0 <= c:",
         "tests": ["tests/test_combine.py"],
     },
+    {
+        "name": "unknown rule kind accepted",
+        "path": "evicalc/combine.py",
+        "old": "            raise ValueError(f\"unknown combination rule "
+               "{_text(kind)}\")\n",
+        "new": "            pass\n",
+        "tests": ["tests/test_combine.py::TestCombineContracts::"
+                  "test_unknown_rule_kind_is_refused"],
+    },
+    {
+        "name": "cell-routing rule accepts a parameter",
+        "path": "evicalc/combine.py",
+        "old": "            if c is not None:\n"
+               "                raise ValueError(f\"rule {kind} takes no "
+               "parameter\")\n",
+        "new": "            pass\n",
+        "tests": ["tests/test_combine.py::TestCombineContracts::"
+                  "test_cell_routing_rule_with_a_parameter_is_refused"],
+    },
+    {
+        "name": "discount weight that is not a fraction accepted",
+        "path": "evicalc/combine.py",
+        "old": "        elif isinstance(c, bool) or not isinstance(c, (int, "
+               "Fraction)):\n"
+               "            raise ValueError(f\"discount weight {_text(c)} is "
+               "not a fraction\")\n",
+        "new": "",
+        "tests": ["tests/test_combine.py::TestCombineContracts::"
+                  "test_discount_rule_without_a_fraction_weight_is_refused"],
+    },
+    {
+        "name": "discount weight too long to print accepted",
+        "path": "evicalc/combine.py",
+        "old": "            _check_printable(c)\n",
+        "new": "            pass\n",
+        "tests": ["tests/test_combine.py::TestCombineContracts::"
+                  "test_discount_weight_too_long_to_print_is_refused"],
+    },
     # cli
     {
         "name": "sweep tests --out for truth",
@@ -183,6 +282,58 @@ MUTANTS = [
         "new": "        if not isinstance(entry, dict):",
         "tests": ["tests/test_io.py::TestStructureDocuments::"
                   "test_malformed_documents"],
+    },
+    {
+        "name": "structure frame read without the list check",
+        "path": "evicalc/io.py",
+        "old": "    if not isinstance(atoms, list):\n"
+               "        raise ValueError('\"frame\" must be a list of atom "
+               "names')\n",
+        "new": "",
+        "tests": ["tests/test_io.py::TestStructureDocuments::"
+                  "test_malformed_documents"],
+    },
+    {
+        "name": "mass entry's set read without the list check",
+        "path": "evicalc/io.py",
+        "old": "        if not isinstance(entry[\"set\"], list) or not all(\n"
+               "                isinstance(name, str) for name in "
+               "entry[\"set\"]):\n"
+               "            raise ValueError('\"set\" must be a list of atom "
+               "names')\n",
+        "new": "",
+        "tests": ["tests/test_io.py::TestStructureDocuments::"
+                  "test_malformed_documents"],
+    },
+    {
+        "name": "subnormal flag read without the bool check",
+        "path": "evicalc/io.py",
+        "old": "    if not isinstance(subnormal, bool):\n"
+               "        raise ValueError('\"subnormal\" must be true or "
+               "false')\n",
+        "new": "",
+        "tests": ["tests/test_io.py::TestStructureDocuments::"
+                  "test_subnormal_flag_gates_the_empty_set"],
+    },
+    {
+        "name": "masses read without the list check",
+        "path": "evicalc/io.py",
+        "old": "    if not isinstance(masses, list):\n"
+               "        raise ValueError('\"masses\" must be a list of "
+               "{\"set\", \"mass\"} entries')\n",
+        "new": "",
+        "tests": ["tests/test_io.py::TestStructureDocuments::"
+                  "test_masses_must_be_a_list"],
+    },
+    {
+        "name": "structure masses loaded without the printable check",
+        "path": "evicalc/io.py",
+        "old": "    for _, mass in m.bit_items():  # each must print; "
+               "their lcm need not\n"
+               "        _check_printable(mass)\n",
+        "new": "",
+        "tests": ["tests/test_cli.py::TestLongNumbersInErrors::"
+                  "test_structure_file_exits_1[unprintable-mass]"],
     },
     {
         "name": "json imported at the top of cli",

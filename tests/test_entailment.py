@@ -161,6 +161,18 @@ class TestPartitionSearch:
         with pytest.raises(SearchBudgetExceeded):
             partition_entails(specific, general)
 
+    def test_flow_check_comes_before_the_search(self, frame5, monkeypatch):
+        # {d, e} fits in no general focal element, but it is placed last:
+        # the search alone would try many placements of the seven subsets
+        # of {a, b, c} before it found that out
+        abc = [frame5.from_bits(bits) for bits in range(1, 8)]
+        specific = BeliefStructure(frame5, [
+            (focal, F(1, 8)) for focal in abc + [frame5.subset("de")]])
+        general = BeliefStructure(frame5, [(frame5.subset("abcd"), F(1, 2)),
+                                           (frame5.subset("abce"), F(1, 2))])
+        monkeypatch.setattr(entailment, "PARTITION_NODE_BUDGET", 20)
+        assert partition_entails(specific, general) is None
+
 
 class TestFlow:
     def test_hedging_witness(self, frame5):

@@ -274,18 +274,58 @@ class TestSurveyFromOneProduct:
                 assert pairwise_survey(m1, m2, order) == \
                     step_reports(m1, m2, order)
 
-    @pytest.mark.parametrize("disjoint", [False, True], ids=["K=0", "K>0"])
-    def test_product_passes(self, monkeypatch, disjoint):
+    ALL_RULES = [*CELL_ROUTING_RULES, discount(F(1, 2))]
+    MIXTURES = [discount(F(1, 3)), discount(F(1, 2))]
+
+    @pytest.mark.parametrize("disjoint, rules, folds, sums", [
+        (False, ALL_RULES, [UNNORMALIZED, discount(F(1, 2))], 0),
+        (True, ALL_RULES, [UNNORMALIZED, discount(F(1, 2))], 0),
+        (True, MIXTURES, MIXTURES, 1)], ids=["K=0", "K>0", "discount-only"])
+    def test_product_passes(self, monkeypatch, disjoint, rules, folds, sums):
+        """Each pass over the pair: one product at most, one mixture per
+        discount rule, and a cell-by-cell K only when there is no
+        product to read it off."""
         fold, folded = combine_module._fold, []
+        conflict_mass, summed = combine_module.conflict_mass, []
 
         def counted(frame, forms, rule):
             folded.append(rule)
             return fold(frame, forms, rule)
 
-        monkeypatch.setattr(combine_module, "_fold", counted)
+        def counted_sum(m1, m2):
+            summed.append(1)
+            return conflict_mass(m1, m2)
+
         m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint)
-        pairwise_survey(m1, m2, [*CELL_ROUTING_RULES, discount(F(1, 2))])
-        assert folded == [UNNORMALIZED, discount(F(1, 2))]
+        expected = step_reports(m1, m2, rules)
+        monkeypatch.setattr(combine_module, "_fold", counted)
+        for module in (combine_module, monotonicity):
+            monkeypatch.setattr(module, "conflict_mass", counted_sum)
+        assert pairwise_survey(m1, m2, rules) == expected
+        assert folded == folds
+        assert len(summed) == sums
+
+    def test_structures_built(self, monkeypatch):
+        """At K > 0 the unnormalized result is the product itself: the
+        product, five other cell-routing results and one mixture."""
+        from_form, built = BeliefStructure._from_form.__func__, []
+
+        def counted(cls, *args, **kwargs):
+            built.append(from_form(cls, *args, **kwargs))
+            return built[-1]
+
+        m1, m2, _, _ = canonical_pair(F(6, 10), F(5, 10), disjoint=True)
+        monkeypatch.setattr(BeliefStructure, "_from_form",
+                            classmethod(counted))
+        reports = pairwise_survey(m1, m2, self.ALL_RULES)
+        assert len(built) == 7
+        product = reports[self.ALL_RULES.index(UNNORMALIZED)].combined
+        assert product is built[0] and product.is_subnormal
+
+    def test_empty_rule_list(self, frame4, frame5):
+        """No rule, no report, even for a pair whose frames differ."""
+        assert pairwise_survey(BeliefStructure.vacuous(frame4),
+                               BeliefStructure.vacuous(frame5), []) == []
 
 
 class TestGoldenAudit:
