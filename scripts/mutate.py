@@ -10,8 +10,10 @@ directory: pytest stops at the first failure, with no cache, no bytecode
 and Hypothesis's example database off, so nothing is written into the
 checkout.  A mutant is killed when pytest reports a failing test (exit
 code 1); a collection error or a usage error does not count.  An
-equivalent mutant is only checked to apply.  Exits 1 if any mutant
-survives or no longer applies.
+equivalent mutant is only checked to apply.  The mutants are independent,
+so they run concurrently, one pytest per CPU (``os.cpu_count()``), and are
+reported in list order.  Exits 1 if any mutant survives or no longer
+applies.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,16 +73,23 @@ def verdict(mutant: dict) -> str | None:
     return None
 
 
+def timed_verdict(mutant: dict) -> tuple[str | None, float]:
+    start = time.perf_counter()
+    return verdict(mutant), time.perf_counter() - start
+
+
 def main() -> int:
     failed = 0
-    for mutant in MUTANTS:
-        start = time.perf_counter()
-        problem = verdict(mutant)
-        status = ("equivalent" if "equivalent" in mutant else "killed") \
-            if problem is None else f"FAILED: {problem}"
-        failed += problem is not None
-        print(f"{mutant['name']}: {status} "
-              f"({time.perf_counter() - start:.1f} s)", flush=True)
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        # map yields in list order, each result as soon as it and every
+        # result before it are done
+        for mutant, (problem, seconds) in zip(
+                MUTANTS, pool.map(timed_verdict, MUTANTS)):
+            status = f"FAILED: {problem}" if problem is not None \
+                else "equivalent" if "equivalent" in mutant else "killed"
+            failed += problem is not None
+            print(f"{mutant['name']}: {status} ({seconds:.1f} s)",
+                  flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants pass the gate")
     return 1 if failed else 0
 

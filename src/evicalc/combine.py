@@ -34,7 +34,12 @@ from fractions import Fraction
 from .core import (ZERO, ONE, BeliefStructure, FocalSet, Frame, MassLike,
                    _check_frame, _check_printable, _num_text, _Value,
                    mass_str, to_mass)
-from .errors import EmptyTarget, SubnormalInput, TotalConflict, _text
+from .errors import (EmptyTarget, FoldTooLarge, SubnormalInput,
+                     TotalConflict, _text)
+
+FOLD_FOCAL_BUDGET = 200_000
+"""The most focal elements a fold's product pass may build; one more
+raises :class:`FoldTooLarge` as the row that adds it is done."""
 
 
 # Where each rule sends a conflicting cell (a & b == 0); None drops it.
@@ -121,6 +126,12 @@ def possibility(b: FocalSet, a: FocalSet) -> Fraction:
     return ONE if a.intersects(b) else ZERO
 
 
+def _past_budget(index: int) -> FoldTooLarge:
+    return FoldTooLarge(
+        f"more than {FOLD_FOCAL_BUDGET} focal elements while combining "
+        f"statement {index} into the running result", statement_index=index)
+
+
 def _fold(frame: Frame,
           forms: Iterable[tuple[int, tuple[dict[int, int], int]]],
           rule: CombinationRule):
@@ -129,7 +140,13 @@ def _fold(frame: Frame,
     conflict numerator K (None under discount, which mixes instead).  Each
     step is one pass over the product table that routes every cell by the
     rule and sums K.  Each form comes as (position from 1, form), and a
-    TotalConflict names the position of the form that reached K = 1."""
+    TotalConflict names the position of the form that reached K = 1.
+
+    The product pass checks its output's size once per row, X's row
+    included: a result of more than :data:`FOLD_FOCAL_BUDGET` focal
+    elements raises FoldTooLarge, which names the position of the form
+    being combined in.  Discount's mixture holds no more focal elements
+    than its two inputs together."""
     forms = iter(forms)
     full = frame.full.bits  # read once: each read builds a new FocalSet
     route = _CONFLICT_TARGET.get(rule.kind)
@@ -149,6 +166,8 @@ def _fold(frame: Frame,
             continue
         wx = n2.get(full)
         out = {a: wa * wx for a, wa in nums.items()} if wx else {}
+        if len(out) > FOLD_FOCAL_BUDGET:  # X's row, checked as each below
+            raise _past_budget(index)
         conflict = 0
         # n2 outside: a fold step's right operand is the small one
         for b, wb in n2.items():
@@ -163,6 +182,8 @@ def _fold(frame: Frame,
                         continue
                     target = route(a, b, full)
                 out[target] = out.get(target, 0) + w
+            if len(out) > FOLD_FOCAL_BUDGET:  # no cell removes a target
+                raise _past_budget(index)
         nums = out
         # Dempster renormalizes by 1 / (1 - K); at K = 1 nothing is left
         den = den * d2 - (conflict if rule.kind == "dempster" else 0)
@@ -213,7 +234,8 @@ def combine_all(structures: Sequence[BeliefStructure] |
     The fold runs on integer forms and builds one structure at the end (a
     single item is returned unchanged).  A TotalConflict carries in
     ``statement_index`` the position, from 1, of the structure whose
-    combination reached K = 1.
+    combination reached K = 1, and a FoldTooLarge that of the structure
+    whose combination passed :data:`FOLD_FOCAL_BUDGET` focal elements.
     """
     items = list(structures)
     if not items:

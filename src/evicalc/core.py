@@ -523,8 +523,20 @@ class BeliefStructure(_Value):
                         self._den)
 
     def interval(self, focal: FocalSet) -> ProbabilityInterval:
-        """The exact probability bounds [bel, pl] for the set."""
-        return ProbabilityInterval(self.bel(focal), self.pl(focal))
+        """The exact probability bounds [bel, pl] for the set, summed in
+        one pass over the focal elements: each one that meets the set
+        counts toward pl, and toward bel as well when it lies inside.  The
+        empty set meets nothing, so its mass counts toward neither, as in
+        :meth:`bel` and :meth:`pl`."""
+        _check_frame(self.frame, focal)
+        bits, bel, pl = focal.bits, 0, 0
+        for f, w in self._nums.items():
+            if f & bits:
+                pl += w
+                if f & bits == f:
+                    bel += w
+        return ProbabilityInterval(Fraction(bel, self._den),
+                                   Fraction(pl, self._den))
 
     def uncertainty(self, focal: FocalSet) -> Fraction:
         """Width of the probability interval, pl - bel.
@@ -563,6 +575,7 @@ def _typical_form(body: int, full: int, strength: Fraction):
     """(numerator by bitmask, denominator) for {B: s, X: 1 - s}, 0 <= s <= 1,
     with no zero mass, and one focal element when B = X (bitmasks)."""
     n, d = strength.numerator, strength.denominator
-    nums = {body: n, full: d - n} if body != full else {full: d}
-    return {bits: w for bits, w in nums.items() if w}, d
+    if not n or body == full:
+        return {full: d}, d
+    return ({body: d} if n == d else {body: n, full: d - n}), d
 

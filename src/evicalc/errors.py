@@ -67,6 +67,15 @@ class TotalConflict(EvicalcError):
         self.statement_index = statement_index
 
 
+class FoldTooLarge(EvicalcError):
+    """A fold's running result passed ``combine.FOLD_FOCAL_BUDGET`` focal
+    elements; ``statement_index`` names the form being combined in."""
+
+    def __init__(self, message: str, *, statement_index: int | None = None):
+        super().__init__(message)
+        self.statement_index = statement_index
+
+
 class ExponentTooLarge(EvicalcError, ValueError):
     """A decimal number's exponent is past ``core.MAX_EXPONENT`` in
     magnitude; a ValueError too, as every other malformed number is."""

@@ -112,6 +112,18 @@ _NUMBER = re.compile(r"^(?=\.?\d)(\d*)(?:/(\d+)|\.(\d+))?$", re.ASCII)
 
 
 def _parse_set(frame: Frame, body: str, line: int, col: int) -> FocalSet:
+    """The set a statement's braces name, one lookup per name.  A frame
+    from :func:`parse_kb` holds only names that match ``_NAME``, so every
+    hit is well formed; the first miss runs the checks below, which name
+    the first error in the body."""
+    index, bits = frame._index, 0
+    for part in body.split(","):
+        atom = index.get(part.strip())
+        if atom is None:
+            break
+        bits |= 1 << atom
+    else:
+        return FocalSet(frame, bits)
     names = [part.strip() for part in body.split(",")]
     if names == [""]:
         raise ParseError("a statement set must name at least one atom",
@@ -138,7 +150,8 @@ def parse_kb(text: str) -> KnowledgeBase:
             continue
         indent = len(line) - len(line.lstrip()) + 1
 
-        frame_match = _FRAME_LINE.match(stripped)
+        frame_match = (stripped.startswith("frame")
+                       and _FRAME_LINE.match(stripped))
         if frame_match:
             if frame is not None:
                 raise ParseError("duplicate frame declaration",
@@ -173,9 +186,9 @@ def parse_kb(text: str) -> KnowledgeBase:
                 col=indent + stmt.start("var"))
         focal = _parse_set(frame, stmt.group("set"), lineno,
                            indent + stmt.start("set"))
-        rest = stmt.group("rest")
+        typ, rest = stmt.group("typ", "rest")
         at = {"line": lineno, "col": indent + stmt.start("rest")}
-        if stmt.group("typ"):
+        if typ:
             strength_match = _STRENGTH.match(rest)
             if not strength_match:
                 raise ParseError('a typical statement ends with "strength N"',
@@ -239,7 +252,7 @@ def _restrictive_first(numbered: tuple[int, Statement]) -> int:
     """Sort key for a Dempster fold: absolute statements first, then
     typical ones by the size of their set."""
     stmt = numbered[1]
-    return 0 if isinstance(stmt, Absolute) else len(stmt.set)
+    return 0 if isinstance(stmt, Absolute) else stmt.set.bits.bit_count()
 
 
 def infer(kb: KnowledgeBase,
@@ -254,6 +267,8 @@ def infer(kb: KnowledgeBase,
     Dempster, so total conflict comes at the first absolute statement
     disjoint from the intersection of those before it, in either order,
     and is reported with that statement's number in the knowledge base.
+    A running result past ``combine.FOLD_FOCAL_BUDGET`` focal elements
+    raises FoldTooLarge, which names a statement the same way.
 
     The fold runs on integer forms and builds one structure at the end,
     once per (knowledge base, rule): its result is kept on the knowledge

@@ -169,6 +169,23 @@ MUTANTS = [
         "tests": ["tests/test_combine.py"],
     },
     {
+        "name": "fold refuses a result of exactly the budget",
+        "path": "evicalc/combine.py",
+        "old": "if len(out) > FOLD_FOCAL_BUDGET:  # no cell",
+        "new": "if len(out) >= FOLD_FOCAL_BUDGET:  # no cell",
+        "tests": ["tests/test_combine.py::TestFoldBudget"],
+    },
+    {
+        "name": "fold does not check X's row against the budget",
+        "path": "evicalc/combine.py",
+        "old": "        if len(out) > FOLD_FOCAL_BUDGET:  # X's row, checked as "
+               "each below\n"
+               "            raise _past_budget(index)\n",
+        "new": "",
+        "tests": ["tests/test_combine.py::TestFoldBudget::"
+                  "test_a_vacuous_operand_passes_on_a_result_past_it"],
+    },
+    {
         "name": "conflict cells skip X's row",
         "path": "evicalc/combine.py",
         "old": "    n2 = m2._nums.items()\n    return ((a, b, wa * wb)",
@@ -203,6 +220,51 @@ MUTANTS = [
         "new": "",
         "tests": ["tests/test_kb.py::TestParse::"
                   "test_each_parse_error_names_its_line_and_column"],
+    },
+    {
+        "name": "statement set skips an unknown name",
+        "path": "evicalc/kb.py",
+        "old": "        if atom is None:\n            break\n",
+        "new": "        if atom is None:\n            continue\n",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_unknown_atom_carries_its_line"],
+    },
+    {
+        "name": "frame line read only as \"frame:\"",
+        "path": "evicalc/kb.py",
+        "old": 'stripped.startswith("frame")',
+        "new": 'stripped.startswith("frame:")',
+        "tests": ["tests/test_kb.py::TestParse::test_frame_line_spacing"],
+    },
+    {
+        "name": "duplicate frame declaration accepted",
+        "path": "evicalc/kb.py",
+        "old": "            if frame is not None:\n"
+               "                raise ParseError(\"duplicate frame "
+               "declaration\",\n"
+               "                                 line=lineno, col=indent)\n",
+        "new": "",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_parse_errors[err_duplicate_frame.kb]"],
+    },
+    {
+        "name": "second variable name accepted",
+        "path": "evicalc/kb.py",
+        "old": "        elif name != variable:\n",
+        "new": "        elif False:\n",
+        "tests": ["tests/test_kb.py::TestParse::test_variable_mismatch"],
+    },
+    {
+        "name": "trailing text after an absolute statement accepted",
+        "path": "evicalc/kb.py",
+        "old": "            if rest.strip():\n"
+               "                raise ParseError(\n"
+               "                    f\"unexpected trailing text "
+               "{_text(rest.strip())}\", **at)\n",
+        "new": "",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_each_parse_error_names_its_line_and_column"
+                  "[trailing-text]"],
     },
     {
         "name": "discount weight above 1 accepted",
@@ -350,6 +412,23 @@ MUTANTS = [
         "new": "from .combine import _combine_with_conflict, combine_all,"
                " parse_rule\nfrom . import entailment\n",
         "tests": ["tests/test_cli.py::TestImports"],
+    },
+    # core: the one-pass interval and the typical form
+    {
+        "name": "interval counts every set that meets the target as bel",
+        "path": "evicalc/core.py",
+        "old": "                if f & bits == f:\n",
+        "new": "                if True:\n",
+        "tests": ["tests/test_core.py::TestBelPl::"
+                  "test_interval_is_the_naive_bel_and_pl"],
+    },
+    {
+        "name": "typical form keeps a zero strength on its set",
+        "path": "evicalc/core.py",
+        "old": "if not n or body == full:",
+        "new": "if body == full:",
+        "tests": ["tests/test_core.py::TestTypicalForm::"
+                  "test_form_is_the_spelled_out_one"],
     },
     # core._zeta
     {

@@ -17,11 +17,15 @@ from math import lcm
 from evicalc import (
     BeliefStructure,
     CombinationRule,
+    FocalSet,
     Frame,
     MonotonicityReport,
 )
+from evicalc.errors import ParseError, UnknownAtom
 
 ATOMS = "abcdefghij"
+NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                       "0123456789_")
 
 
 def naive_bel(m: BeliefStructure, bits: int) -> Fraction:
@@ -141,6 +145,28 @@ def oracle_monotonic_step(m1: BeliefStructure, m2: BeliefStructure,
         for m in (m1, m2)]
     return MonotonicityReport(rule, conflict, *entails, ok1, ok2, w1, w2,
                               combined, interval_skipped=skipped)
+
+
+def oracle_statement_set(frame: Frame, body: str, line: int,
+                         col: int) -> FocalSet:
+    """The set a knowledge-base statement's braces name, or the error its
+    body gives.  The parts between commas, stripped as ``str.strip`` does,
+    are checked in three passes: a body of one blank part names no atom;
+    then the first part that is not a run of ASCII letters, digits and
+    underscores is a bad name; then the first name outside the frame is
+    unknown (an error with no column)."""
+    names = [part.strip() for part in body.split(",")]
+    if names == [""]:
+        raise ParseError("a statement set must name at least one atom",
+                         line=line, col=col)
+    for name in names:
+        if not name or not NAME_CHARS.issuperset(name):
+            raise ParseError(f"bad atom name {name!r}", line=line, col=col)
+    for name in names:
+        if name not in frame.atoms:
+            raise UnknownAtom(name, line=line)
+    return frame.from_bits(sum({1 << frame.atoms.index(name)
+                                for name in names}))
 
 
 def assert_decimal(text: str, value: Fraction) -> None:

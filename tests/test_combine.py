@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 import re
@@ -5,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from evicalc import monotonicity
 from evicalc.combine import _combine_with_conflict
 from evicalc.errors import (
     EmptyTarget,
+    FoldTooLarge,
     FrameMismatch,
     SubnormalInput,
     TotalConflict,
@@ -623,6 +626,54 @@ class TestTableFreeConflict:
             tracemalloc.stop()
         assert 0 < conflict == _combine_with_conflict(m1, m2, YAGER)[1]
         assert peak < 1 << 20
+
+
+class TestFoldBudget:
+    """The product pass refuses a running result of more than
+    FOLD_FOCAL_BUDGET focal elements in the step that builds it, and
+    changes nothing under the budget: on folds of 2 to 6 random structures
+    and budgets of 1 to 12, combine_all raises FoldTooLarge at the first
+    step whose oracle result passes the budget, unless the oracle fold
+    stops earlier, and gives the oracle's result otherwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(CELL_ROUTING_RULES), st.integers(1, 12))
+    def test_refused_at_the_first_step_past_the_budget(self, rng, rule,
+                                                       budget):
+        frame = random_frame(rng, 1, 5)
+        items = [random_structure(rng, frame, 4)
+                 for _ in range(rng.randint(2, 6))]
+        for end in range(2, len(items) + 1):
+            outcome, expected = oracle_fold(items[:end], rule)
+            if outcome == "ok" and len(expected) > budget:
+                outcome, expected = "budget", end
+            if outcome != "ok":
+                break
+        combine_module = importlib.import_module("evicalc.combine")
+        with patch.object(combine_module, "FOLD_FOCAL_BUDGET", budget):
+            try:
+                got = "ok", bits_of(combine_all(items, rule))
+            except FoldTooLarge as err:
+                got = "budget", err.statement_index
+            except TotalConflict as err:
+                got = "total conflict", err.statement_index
+            except SubnormalInput:  # which carries no position
+                got = "subnormal", expected
+        assert got == (outcome, expected)
+
+    @pytest.mark.parametrize("rule", CELL_ROUTING_RULES, ids=str)
+    def test_a_vacuous_operand_passes_on_a_result_past_it(self, rule):
+        """Only X's row is built when the right operand is vacuous, and the
+        result, a copy of the left operand, is checked as any row is."""
+        frame = Frame("abc")
+        m = BeliefStructure(frame, {frame.from_bits(bits): F(1, 3)
+                                    for bits in (1, 2, 7)})
+        combine_module = importlib.import_module("evicalc.combine")
+        with patch.object(combine_module, "FOLD_FOCAL_BUDGET", 2):
+            with pytest.raises(FoldTooLarge) as err:
+                combine_all([m, BeliefStructure.vacuous(frame)], rule)
+        assert err.value.statement_index == 2
 
 
 DATA = Path(__file__).parent / "data"

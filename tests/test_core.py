@@ -572,6 +572,26 @@ class TestTypicalForm:
         self.check(m1, a_set.frame, a_set, s)
         self.check(m2, b_set.frame, b_set, 1 - s)
 
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_form_is_the_spelled_out_one(self, n, data):
+        """(numerators, denominator) for s in {0, p/q, 1} and B in {∅, a
+        proper subset, X}: the masses s on B and 1 - s on X, merged when B
+        is X, zeros dropped, each over the denominator of s."""
+        full = (1 << n) - 1
+        proper = data.draw(st.integers(1, full - 1))
+        q = data.draw(st.integers(2, 40))
+        between = F(data.draw(st.integers(1, q - 1)), q)
+        for body in (0, proper, full):
+            for s in (F(0), between, F(1)):
+                spelled: dict[int, Fraction] = {}
+                for bits, mass in ((body, s), (full, 1 - s)):
+                    spelled[bits] = spelled.get(bits, 0) + mass
+                assert _typical_form(body, full, s) == (
+                    {bits: mass * s.denominator
+                     for bits, mass in spelled.items() if mass},
+                    s.denominator)
+
     def test_vacuous(self):
         for n in range(1, 6):
             frame = Frame(ATOMS[:n])
@@ -650,8 +670,25 @@ class TestBelPl:
 
     def test_query_checks_frame(self, frame4, frame5):
         m = BeliefStructure.vacuous(frame4)
-        with pytest.raises(FrameMismatch):
-            m.bel(frame5.full)
+        for query in (m.bel, m.pl, m.interval):
+            with pytest.raises(FrameMismatch):
+                query(frame5.full)
+
+    @settings(max_examples=100, deadline=None)
+    @given(structures(), st.integers(0, 9))
+    def test_interval_is_the_naive_bel_and_pl(self, m, empty):
+        """The one-pass interval equals (naive_bel, naive_pl) on every
+        subset, also with mass on the empty set (``empty`` tenths of it,
+        the rest scaled down), which counts toward neither bound."""
+        frame = m.frame
+        if empty:
+            e = F(empty, 10)
+            m = BeliefStructure(frame, [(frame.empty, e), *(
+                (focal, w * (1 - e)) for focal, w in m.items())],
+                subnormal=True)
+        for focal in frame.all_subsets():
+            assert m.interval(focal) == ProbabilityInterval(
+                naive_bel(m, focal.bits), naive_pl(m, focal.bits))
 
     def test_repr_of_a_mass_too_long_to_print(self, frame4):
         tiny = F(1, 10**4300)

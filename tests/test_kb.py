@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 import random
 import re
@@ -31,6 +32,7 @@ from evicalc import (
 )
 from evicalc.errors import (
     EmptyTarget,
+    FoldTooLarge,
     MissingFrame,
     ParseError,
     StrengthOutOfRange,
@@ -45,6 +47,7 @@ from oracles import (
     naive_bel,
     naive_pl,
     oracle_fold,
+    oracle_statement_set,
     random_frame,
     structure_bits,
 )
@@ -135,6 +138,19 @@ class TestParse:
         assert (err.value.line, err.value.col) == (line, col)
         assert str(err.value) == f"line {line}, col {col}: {message}"
 
+    @pytest.mark.parametrize("line", ["frame : a, b", "frame:a,b",
+                                      "frame\t:\ta ,b", "  frame  :a, b"])
+    def test_frame_line_spacing(self, line):
+        kb = parse_kb(line + "\nV is {b}\n")
+        assert kb.frame.atoms == ("a", "b")
+        assert kb.statements == (Absolute(kb.frame.subset(["b"])),)
+
+    def test_variable_named_like_the_frame_keyword(self):
+        kb = parse_kb("frame: a, b\nframe is {a}\n"
+                      "typically frame is {b} strength 1/2\n")
+        assert kb.variable == "frame"
+        assert len(kb.statements) == 2
+
     def test_over_long_strength_is_a_parse_error(self):
         # 5,000 digits pass the grammar but not the interpreter's digit limit
         text = "frame: a, b\ntypically V is {a} strength " + "1" * 5000
@@ -221,6 +237,73 @@ class TestParse:
         assert str(err.value) == f"{shown} is not a knowledge-base name"
         # the knowledge base itself is not checked: it still infers
         assert infer(kb) == BeliefStructure(frame, {frame.from_bits(1): 1})
+
+
+KB_FRAME = parse_kb("frame: a, b, x1, _, 9, Ab\nV is {a}\n").frame
+# Line breaks to str.splitlines, so a body may hold them only when read
+# on its own, not inside a knowledge-base line
+LINE_BREAKS = "\x0b\x0c\x85"
+PADDING = st.text(" \t\u00a0\u2003\u3000" + LINE_BREAKS, max_size=2)
+PARTS = st.one_of(
+    st.sampled_from(KB_FRAME.atoms),  # known, often repeated
+    st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True),  # mostly unknown
+    st.sampled_from(["", "a b", "é", "a-b", "\u0663", "x.1", "b\u00a0b"]),
+)
+
+
+@st.composite
+def set_bodies(draw):
+    """A statement set's body: 1 to 5 parts, each padded with ASCII and
+    Unicode whitespace, joined by commas."""
+    parts = draw(st.lists(PARTS, min_size=1, max_size=5))
+    return ",".join(draw(PADDING) + part + draw(PADDING) for part in parts)
+
+
+def set_or_error(read, body, line, col):
+    try:
+        return read(KB_FRAME, body, line, col)
+    except (ParseError, UnknownAtom) as err:
+        return type(err), str(err), err.line, err.col
+
+
+class TestStatementSet:
+    """kb._parse_set looks each name up once and, on its first miss, names
+    the same error as the three-pass oracle, for known, unknown and
+    malformed names, blank parts, repeats and Unicode whitespace."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(set_bodies())
+    def test_set_or_error_is_the_oracles(self, body):
+        expected = set_or_error(oracle_statement_set, body, 3, 9)
+        assert set_or_error(kb_module._parse_set, body, 3, 9) == expected
+        if any(c in body for c in LINE_BREAKS):
+            return
+        # the same inside a statement, placed at the body's column
+        text = f"frame: {', '.join(KB_FRAME.atoms)}\nV is {{{body}}}\n"
+        try:
+            got = parse_kb(text).statements[0].set
+        except (ParseError, UnknownAtom) as err:
+            got = type(err), str(err), err.line, err.col
+        assert got == set_or_error(oracle_statement_set, body, 2, 7)
+
+    @pytest.mark.parametrize("body, expected", [
+        ("a", ("a",)), (" Ab ,\t9,a, a ", ("a", "9", "Ab")),
+        ("\u3000_\u00a0,x1", ("x1", "_")),
+    ])
+    def test_known_names(self, body, expected):
+        assert kb_module._parse_set(KB_FRAME, body, 1, 1).atoms == expected
+
+    @pytest.mark.parametrize("body, message", [
+        (" ", "line 3, col 9: a statement set must name at least one atom"),
+        ("a,,b", "line 3, col 9: bad atom name ''"),
+        ("zz, a b", "line 3, col 9: bad atom name 'a b'"),
+        ("a, zz, é", "line 3, col 9: bad atom name 'é'"),
+        ("a, zz, yy", "line 3: unknown atom 'zz'"),
+    ])
+    def test_first_error_in_the_body(self, body, message):
+        with pytest.raises((ParseError, UnknownAtom)) as err:
+            kb_module._parse_set(KB_FRAME, body, 3, 9)
+        assert str(err.value) == message
 
 
 class TestCompile:
@@ -628,6 +711,40 @@ class TestRestrictiveFirst:
                                       f"the running result")
         else:
             assert structure_bits(infer(kb)) == expected
+
+
+class TestFoldBudget:
+    """A fold whose running result passes combine.FOLD_FOCAL_BUDGET raises
+    FoldTooLarge naming the statement it was combining in, by its number
+    in the file; under the budget the result is the oracle fold's."""
+
+    TEXT = ("frame: a, b, c, d, e, f\n"
+            "typically V is {a, b, c, d, e} strength 0.9\n"
+            "typically V is {a} strength 0.5\n"
+            "typically V is {b} strength 0.5\n"
+            "typically V is {c} strength 0.5\n")
+
+    # Dempster folds statements 2, 3, 4 and then 1 (sizes 2, 3, 4, 5);
+    # Yager in file order (sizes 2, 3, 4, 5 at statements 2, 3, 4)
+    @pytest.mark.parametrize("rule, budget, index", [
+        (DEMPSTER, 4, 1), (YAGER, 4, 4), (YAGER, 3, 3), (DEMPSTER, 2, 3),
+    ], ids=["dempster-last", "yager-last", "yager-third", "dempster-first"])
+    def test_refused_at_the_statement_past_the_budget(
+            self, monkeypatch, rule, budget, index):
+        combine_module = importlib.import_module("evicalc.combine")
+        monkeypatch.setattr(combine_module, "FOLD_FOCAL_BUDGET", budget)
+        kb = parse_kb(self.TEXT)
+        with pytest.raises(FoldTooLarge) as err:
+            infer(kb, rule)
+        assert err.value.statement_index == index
+        assert str(err.value) == (
+            f"more than {budget} focal elements while combining statement "
+            f"{index} into the running result")
+        assert rule not in kb._inferred  # an error is not kept
+        monkeypatch.setattr(combine_module, "FOLD_FOCAL_BUDGET", 5)
+        frame = kb.frame
+        assert structure_bits(infer(kb, rule)) == oracle_fold(
+            [statement_structure(frame, s) for s in kb.statements], rule)[1]
 
 
 @pytest.fixture
