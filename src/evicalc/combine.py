@@ -21,9 +21,9 @@ The table is never built cell by cell.  A structure stores its integer form
 :func:`_fold`, takes numbered forms in (a structure's or a statement's), in
 the order given, and makes one product pass per step: it routes each cell's
 weight and sums K, taking the full set's row (X & a = a) as one scaled copy,
-and builds one structure at the end.  :func:`conflict_mass` sums K over the
-conflicting cells, which :func:`_conflict_cells` lists, and builds no
-table.
+and builds one structure at the end.  After each row, it and a survey's
+derived results raise FoldTooLarge past :data:`FOLD_FOCAL_BUDGET` focal
+elements.  :func:`conflict_mass` sums K cell by cell with no table.
 """
 
 from __future__ import annotations
@@ -99,21 +99,13 @@ def parse_rule(text: str) -> CombinationRule:
     raise ValueError(f"unknown combination rule {_text(text)}")
 
 
-def _conflict_cells(m1: BeliefStructure, m2: BeliefStructure):
-    """Each conflicting cell (a & b == 0) of the pair's product table, in
-    m1's bitmask order and then m2's, as (a, b, wa * wb) over m1._den *
-    m2._den."""
-    n2 = m2._nums.items()
-    return ((a, b, wa * wb) for a, wa in m1._nums.items()
-            for b, wb in n2 if not a & b)
-
-
 def conflict_mass(m1: BeliefStructure, m2: BeliefStructure) -> Fraction:
     """The conflict K: total product weight landing on empty intersections,
     summed cell by cell with no table (subnormal input is counted too)."""
     _check_frame(m1.frame, m2, BeliefStructure)
-    return Fraction(sum(w for _, _, w in _conflict_cells(m1, m2)),
-                    m1._den * m2._den)
+    n2 = m2._nums.items()
+    return Fraction(sum(wa * wb for a, wa in m1._nums.items()
+                        for b, wb in n2 if not a & b), m1._den * m2._den)
 
 
 def possibility(b: FocalSet, a: FocalSet) -> Fraction:

@@ -68,8 +68,9 @@ class TotalConflict(EvicalcError):
 
 
 class FoldTooLarge(EvicalcError):
-    """A fold's running result passed ``combine.FOLD_FOCAL_BUDGET`` focal
-    elements; ``statement_index`` names the form being combined in."""
+    """A fold's running result, or a result a survey derives from its
+    product (checked after each row), passed ``combine.FOLD_FOCAL_BUDGET``
+    focal elements; ``statement_index`` names the form being combined in."""
 
     def __init__(self, message: str, *, statement_index: int | None = None):
         super().__init__(message)

@@ -25,13 +25,15 @@ on a normal result, which proves that no flow exists; (3)
 A survey gets K and every rule's result from :func:`_results`.  A rule
 list with a cell-routing rule makes the unnormalized product once and
 reads K and every cell-routing result off it.  At K = 0 each of them is
-the product, and at K > 0 the unnormalized result still is.  Each other one
-is then the product's non-empty part plus every conflicting cell m1(A) *
-m2(B), listed once, routed where the rule sends it: to X for Yager, to
-A | B for Dubois-Prade (Dubois and Prade 1988) and to A or to B for the
-priority rules.  Dempster's drops those cells and renormalizes the rest
-(Smets 1990).  Discount, which mixes instead, makes a pass of its own; a
-list of discount rules alone builds no product and sums K cell by cell.
+the product, and at K > 0 the unnormalized result still is.  Each other
+one is the product's non-empty part plus every conflicting cell m1(A) *
+m2(B), routed a row of m1 at a time where the rule sends it: to X for
+Yager, to A | B for Dubois-Prade (Dubois and Prade 1988) and to A or to
+B for the priority rules; a result past FOLD_FOCAL_BUDGET focal elements
+after a row raises FoldTooLarge at statement 2, as the fold does.
+Dempster's drops those cells and renormalizes the rest (Smets 1990).
+Discount, which mixes instead, makes a pass of its own; a list of
+discount rules alone builds no product and sums K cell by cell.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combine import (_CONFLICT_TARGET, UNNORMALIZED, CombinationRule,
-                      _combine_with_conflict, _conflict_cells, combine,
-                      conflict_mass)
+from .combine import (_CONFLICT_TARGET, FOLD_FOCAL_BUDGET, UNNORMALIZED,
+                      CombinationRule, _combine_with_conflict, _past_budget,
+                      combine, conflict_mass)
 from .core import (
     ONE,
     ZERO,
@@ -126,9 +128,8 @@ def _verdicts(m_star: BeliefStructure, m_next: BeliefStructure,
 def _results(m1: BeliefStructure, m2: BeliefStructure,
              rules: list[CombinationRule]):
     """The pair's K and each rule's result, in rule order (None for
-    Dempster at K = 1).  Every cell-routing result is read off the one
-    unnormalized product (see the module docstring); a list of discount
-    rules alone builds no product and sums K cell by cell."""
+    Dempster at K = 1), every cell-routing one read off the one
+    unnormalized product (see the module docstring)."""
     kinds = {rule.kind for rule in rules} - {"discount"}
     if kinds:
         product, conflict = _combine_with_conflict(m1, m2, UNNORMALIZED)
@@ -139,17 +140,22 @@ def _results(m1: BeliefStructure, m2: BeliefStructure,
         frame, den = product.frame, m1._den * m2._den
         full, scale = frame.full.bits, den // product._den
         kept = {bits: w * scale for bits, w in product._nums.items() if bits}
-        cells = list(_conflict_cells(m1, m2))
-        for kind in kinds - {"unnormalized"}:
-            route = _CONFLICT_TARGET[kind]
-            if route is None:  # Dempster: drop the cells, renormalize
-                derived[kind] = BeliefStructure._from_form(
-                    frame, kept, sum(kept.values())) if kept else None
-                continue
-            out = dict(kept)
-            for a, b, w in cells:
-                target = route(a, b, full)
-                out[target] = out.get(target, 0) + w
+        if "dempster" in kinds:  # drop the conflicting cells, renormalize
+            derived["dempster"] = BeliefStructure._from_form(
+                frame, kept, sum(kept.values())) if kept else None
+        routed = [(kind, _CONFLICT_TARGET[kind], dict(kept))
+                  for kind in kinds - {"dempster", "unnormalized"}]
+        for a, wa in m1._nums.items() if routed else ():
+            for b, wb in m2._nums.items():
+                if not a & b:
+                    w = wa * wb
+                    for _, route, out in routed:
+                        target = route(a, b, full)
+                        out[target] = out.get(target, 0) + w
+            for _, _, out in routed:
+                if len(out) > FOLD_FOCAL_BUDGET:  # no cell removes a target
+                    raise _past_budget(2)
+        for kind, _, out in routed:
             derived[kind] = BeliefStructure._from_form(frame, out, den)
     return conflict, [derived[rule.kind] if rule.kind in derived
                       else combine(m1, m2, rule) for rule in rules]

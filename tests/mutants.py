@@ -14,20 +14,20 @@ MUTANTS = [
     {
         "name": "derived Dubois-Prade routed to the left set",
         "path": "evicalc/monotonicity.py",
-        "old": "route = _CONFLICT_TARGET[kind]",
-        "new": "route = _CONFLICT_TARGET[\n"
+        "old": "(kind, _CONFLICT_TARGET[kind], dict(kept))",
+        "new": "(kind, _CONFLICT_TARGET[\n"
                "            'priority-first' if kind == 'dubois-prade'"
-               " else kind]",
+               " else kind], dict(kept))",
         "tests": ["tests/test_monotonicity.py"],
     },
     {
         "name": "derived priority targets swapped",
         "path": "evicalc/monotonicity.py",
-        "old": "route = _CONFLICT_TARGET[kind]",
-        "new": "route = _CONFLICT_TARGET[{\n"
+        "old": "(kind, _CONFLICT_TARGET[kind], dict(kept))",
+        "new": "(kind, _CONFLICT_TARGET[{\n"
                "            'priority-first': 'priority-second',\n"
                "            'priority-second': 'priority-first'}.get(kind,"
-               " kind)]",
+               " kind)], dict(kept))",
         "tests": ["tests/test_monotonicity.py"],
     },
     {
@@ -43,6 +43,25 @@ MUTANTS = [
         "old": "frame, kept, sum(kept.values()))",
         "new": "frame, kept, den)",
         "tests": ["tests/test_monotonicity.py"],
+    },
+    {
+        "name": "survey refuses a derived result of exactly the budget",
+        "path": "evicalc/monotonicity.py",
+        "old": "if len(out) > FOLD_FOCAL_BUDGET:",
+        "new": "if len(out) >= FOLD_FOCAL_BUDGET:",
+        "tests": ["tests/test_monotonicity.py::TestSurveyBudget::"
+                  "test_a_result_of_the_budget_passes"],
+    },
+    {
+        "name": "survey does not check derived results against the budget",
+        "path": "evicalc/monotonicity.py",
+        "old": "            for _, _, out in routed:\n"
+               "                if len(out) > FOLD_FOCAL_BUDGET:  # no cell "
+               "removes a target\n"
+               "                    raise _past_budget(2)\n",
+        "new": "",
+        "tests": ["tests/test_monotonicity.py::TestSurveyBudget::"
+                  "test_a_result_of_the_budget_passes"],
     },
     # entailment.interval_contained
     {
@@ -186,12 +205,12 @@ MUTANTS = [
                   "test_a_vacuous_operand_passes_on_a_result_past_it"],
     },
     {
-        "name": "conflict cells skip X's row",
+        "name": "conflict_mass skips X's row",
         "path": "evicalc/combine.py",
-        "old": "    n2 = m2._nums.items()\n    return ((a, b, wa * wb)",
+        "old": "    n2 = m2._nums.items()\n    return Fraction(sum(",
         "new": "    n2 = [(b, w) for b, w in m2._nums.items()\n"
                "          if b != m2.frame.full.bits]\n"
-               "    return ((a, b, wa * wb)",
+               "    return Fraction(sum(",
         "tests": ["tests/test_combine.py"],
     },
     # kb
@@ -265,6 +284,35 @@ MUTANTS = [
         "tests": ["tests/test_kb.py::TestParse::"
                   "test_each_parse_error_names_its_line_and_column"
                   "[trailing-text]"],
+    },
+    {
+        "name": "typical strength 1 accepted",
+        "path": "evicalc/kb.py",
+        "old": "0 < strength.numerator < strength.denominator",
+        "new": "0 < strength.numerator <= strength.denominator",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_strength_out_of_range[err_strength_one.kb]"],
+    },
+    {
+        "name": "typical strength 0 accepted",
+        "path": "evicalc/kb.py",
+        "old": "0 < strength.numerator < strength.denominator",
+        "new": "0 <= strength.numerator < strength.denominator",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_strength_out_of_range[err_strength_zero.kb]"],
+    },
+    {
+        "name": "strength token's zero denominator escapes the parser",
+        "path": "evicalc/kb.py",
+        "old": "            except ZeroDivisionError:\n"
+               "                raise ParseError(f\"bad strength "
+               "{_text(token)}: zero \"\n"
+               "                                 f\"denominator\", **at) "
+               "from None\n",
+        "new": "",
+        "tests": ["tests/test_kb.py::TestParse::"
+                  "test_each_parse_error_names_its_line_and_column"
+                  "[zero-denominator]"],
     },
     {
         "name": "discount weight above 1 accepted",

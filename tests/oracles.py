@@ -326,6 +326,26 @@ def total_conflict_pair(rng: random.Random, frame: Frame,
     return build(left), build(left ^ frame.full.bits)
 
 
+def disjoint_support_pair(seed: int, atoms: int,
+                          focals: int) -> tuple[BeliefStructure,
+                                                BeliefStructure]:
+    """Two structures of exactly ``focals`` focal elements each on atoms
+    x0, x1, ...: the first inside the low half of the atoms, the second
+    inside the high half.  So K = 1, and every pair of focal elements has
+    a union of its own (Dubois-Prade's result holds focals ** 2)."""
+    frame = Frame([f"x{i}" for i in range(atoms)])
+    rng = random.Random(seed)
+    half = atoms // 2
+    pair = []
+    for shift in (0, half):
+        masks = rng.sample(range(1, 1 << half), focals)
+        weights = [rng.randint(1, 9) for _ in masks]
+        pair.append(BeliefStructure(frame, [
+            (frame.from_bits(bits << shift), Fraction(w, sum(weights)))
+            for bits, w in zip(masks, weights)]))
+    return pair[0], pair[1]
+
+
 def overlapping_pair(rng: random.Random, frame: Frame,
                      max_focals: int = 4) -> tuple[BeliefStructure,
                                                    BeliefStructure]:

@@ -22,7 +22,8 @@ from evicalc import BeliefStructure, Frame, entailment, io
 from evicalc import cli
 from evicalc.cli import main, parse_args
 
-from oracles import ArgvRefused, argparse_oracle, subset_sum_trap
+from oracles import (ArgvRefused, argparse_oracle, disjoint_support_pair,
+                     subset_sum_trap)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -530,9 +531,11 @@ class TestKbCommands:
 
 
 def write_budget_inputs(directory: Path) -> None:
-    """Seeded inputs on 24 atoms whose folds pass FOLD_FOCAL_BUDGET:
+    """Seeded inputs whose folds pass FOLD_FOCAL_BUDGET: on 24 atoms,
     budget.kb, 30 typical statements over 22 atoms each, and m1.bs and
-    m2.bs, 1,000 random focal sets each."""
+    m2.bs, 1,000 random focal sets each; and d1.bs and d2.bs, 600 focal
+    sets each on 20 atoms with disjoint supports, whose product and
+    Yager result hold one focal element and Dubois-Prade's 360,000."""
     frame = Frame([f"x{i}" for i in range(24)])
     rng = random.Random(25)
     lines = ["frame: " + ", ".join(frame.atoms)]
@@ -548,6 +551,8 @@ def write_budget_inputs(directory: Path) -> None:
             (frame.from_bits(bits), Fraction(w, sum(weights)))
             for bits, w in zip(masks, weights)])
         (directory / name).write_text(io.dumps_structure(m))
+    for name, m in zip(("d1.bs", "d2.bs"), disjoint_support_pair(35, 20, 600)):
+        (directory / name).write_text(io.dumps_structure(m))
 
 
 class TestFoldBudget:
@@ -556,7 +561,9 @@ class TestFoldBudget:
     was combining in, and its traced peak stays under 48 MB.  Without the
     budget the knowledge base folds to 804,777 focal elements, at a traced
     peak of 235 MB for the fold alone, and the pair's Yager combination
-    to 421,394, at 66 MB."""
+    to 421,394, at 66 MB.  A survey checks its derived results as the
+    fold checks the product, so `monotone --rules dubois-prade` refuses
+    the disjoint pair as `combine --rule dubois-prade` does."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -568,7 +575,8 @@ class TestFoldBudget:
         (("kb-infer", "budget.kb"), 22),
         (("combine", "m1.bs", "m2.bs", "--rule", "yager"), 2),
         (("monotone", "m1.bs", "m2.bs", "--rules", "dempster,yager"), 2),
-    ], ids=["kb-infer", "combine", "monotone"])
+        (("monotone", "d1.bs", "d2.bs", "--rules", "dubois-prade"), 2),
+    ], ids=["kb-infer", "combine", "monotone", "monotone-disjoint"])
     def test_one_error_line_within_a_bounded_peak(self, capsys, inputs,
                                                   argv, index):
         command, *rest = argv

@@ -1,8 +1,11 @@
 import importlib
 import json
 import random
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +31,12 @@ from evicalc import (
     sweep,
     sweep_csv,
 )
-from evicalc.errors import GridOutOfRange, TotalConflict
+from evicalc.errors import FoldTooLarge, GridOutOfRange, TotalConflict
 from evicalc.io import load_structure, report_to_obj
 
 from oracles import (
     assert_decimal,
+    disjoint_support_pair,
     naive_bel,
     naive_pl,
     no_conflict_pair,
@@ -214,15 +218,15 @@ class TestSurveyFromOneProduct:
     KINDS = ["conflict-free", "conflicting", "total-conflict"]
 
     @staticmethod
-    def pair(rng, kind):
+    def pair(rng, kind, focals=3):
         frame = random_frame(rng, 2, 5)
         if kind == "conflict-free":
-            return overlapping_pair(rng, frame, 3)
+            return overlapping_pair(rng, frame, focals)
         if kind == "total-conflict":
-            return total_conflict_pair(rng, frame, 3)
+            return total_conflict_pair(rng, frame, focals)
         while True:
-            m1 = random_structure(rng, frame, 3)
-            m2 = random_structure(rng, frame, 3)
+            m1 = random_structure(rng, frame, focals)
+            m2 = random_structure(rng, frame, focals)
             if any(not a.intersects(b) for a in m1.focal_sets()
                    for b in m2.focal_sets()):
                 return m1, m2
@@ -326,6 +330,76 @@ class TestSurveyFromOneProduct:
         """No rule, no report, even for a pair whose frames differ."""
         assert pairwise_survey(BeliefStructure.vacuous(frame4),
                                BeliefStructure.vacuous(frame5), []) == []
+
+
+@contextmanager
+def budget_patched(budget):
+    """FOLD_FOCAL_BUDGET set to ``budget`` where the fold and the survey
+    read it."""
+    with patch.object(combine_module, "FOLD_FOCAL_BUDGET", budget), \
+            patch.object(monotonicity, "FOLD_FOCAL_BUDGET", budget):
+        yield
+
+
+class TestSurveyBudget:
+    """A survey holds its product and every derived result to
+    FOLD_FOCAL_BUDGET, each derived one checked after each row of the
+    pair: it raises FoldTooLarge at statement 2 exactly when one of them
+    passes the budget, and changes no report under it.  Pairs of up to six
+    focal elements a side straddle budgets of 1 to 12."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(TestSurveyFromOneProduct.KINDS),
+           st.lists(st.sampled_from(TestStepOracle.RULES), max_size=7),
+           st.integers(1, 12))
+    def test_refused_exactly_past_the_budget(self, rng, kind, rules,
+                                             budget):
+        m1, m2 = TestSurveyFromOneProduct.pair(rng, kind, 6)
+        routing = [rule for rule in rules if rule.kind != "discount"]
+        if routing and max(len(oracle_combine(m1, m2, rule)) for rule
+                           in (UNNORMALIZED, *routing)) > budget:
+            expected = 2
+        else:
+            expected = [oracle_monotonic_step(m1, m2, rule)
+                        for rule in rules]
+        with budget_patched(budget):
+            try:
+                got = pairwise_survey(m1, m2, rules)
+            except FoldTooLarge as err:
+                got = err.statement_index
+        assert got == expected
+
+    @pytest.mark.parametrize("budget", [1, 3, 4])
+    def test_a_result_of_the_budget_passes(self, budget):
+        """At K = 1 on two 2-focal structures the product and Yager's
+        result hold one focal element each, and Dubois-Prade's four."""
+        m1, m2 = disjoint_support_pair(35, 4, 2)
+        rules = [YAGER, DUBOIS_PRADE]
+        expected = [oracle_monotonic_step(m1, m2, rule) for rule in rules]
+        with budget_patched(budget):
+            assert pairwise_survey(m1, m2, rules[:1]) == expected[:1]
+            if budget < 4:
+                with pytest.raises(FoldTooLarge) as err:
+                    pairwise_survey(m1, m2, rules)
+                assert err.value.statement_index == 2
+            else:
+                assert pairwise_survey(m1, m2, rules) == expected
+
+    def test_conflicting_cells_are_routed_as_they_come(self):
+        """Yager sends the 40,000 conflicting cells of two 200-focal
+        structures at K = 1 onto X, one row at a time, so the survey's
+        traced peak stays under 1 MB; a list of the cells takes about
+        3 MB."""
+        m1, m2 = disjoint_support_pair(35, 20, 200)
+        tracemalloc.start()
+        try:
+            report, = pairwise_survey(m1, m2, [YAGER])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.combined == BeliefStructure.vacuous(m1.frame)
+        assert peak < 1 << 20
 
 
 class TestGoldenAudit:
